@@ -1,34 +1,46 @@
 """Pseudospectral time integration of the system on the circle.
 
-The fields take values in a finite Grassmann algebra Lambda_N: the even field
-u stores one real array per even-cardinality generator subset, the odd field
-xi one per odd-cardinality subset, and products are computed level by level
-with the reordering sign.  The default N = 2 is the smallest truncation in
-which the fermionic backreaction on u is visible (it needs two distinct
-generators), giving four coupled real components.
+The fields take values in a finite Grassmann algebra Lambda_N.  Each field is
+one level stack: u an ``(n_even, n)`` array with a row per even-cardinality
+generator subset, xi an ``(n_odd, n)`` array with a row per odd one, in
+``even_masks(N)`` / ``odd_masks(N)`` order; ``gmul_stack`` multiplies stacks
+and the spectral helpers act on the last axis.  The default N = 2 is the
+smallest truncation in which the fermionic backreaction on u is visible (it
+needs two distinct generators), giving four coupled real components.
 
 Time stepping solves the once-integrated form of the equations: the right
 sides of u_tx and xi_tx are made mean-free (periodic solvability fixes the
 integration constants) and inverted spectrally with the zero-mean gauge on
-u_t, the canonical choice on the homogeneous space of the flow.  A classical
-explicit fourth-order one-step method advances the solution; wave-breaking
-shows up as a NaN/Inf and aborts with a diagnostic rather than attempting
-continuation.
+u_t, the canonical choice on the homogeneous space of the flow.  Each right
+side takes one forward transform per field and applies the 2/3 truncation,
+mean removal and 1/(ik) in one spectral pass.  A classical explicit
+fourth-order one-step method advances the solution; wave-breaking shows up
+as a NaN/Inf and aborts with a diagnostic rather than attempting continuation.
 """
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .grassmann import GrassmannElement, even_masks, merge_sign, odd_masks
+from .grassmann import (
+    EVEN,
+    ODD,
+    GrassmannElement,
+    even_masks,
+    gmul_stack,
+    mask_row,
+    odd_masks,
+)
 
 TWO_PI = 2.0 * np.pi
-
-LevelArrays = Dict[int, np.ndarray]
+# rows per field stack grow as 2**(N-1) and product pairs as 3**N
+MAX_GRASSMANN = 8
 
 
 class BlowUpError(RuntimeError):
@@ -38,6 +50,10 @@ class BlowUpError(RuntimeError):
         super().__init__(f"solution blew up at t={time:.6g}: {diagnostics}")
         self.time = time
         self.diagnostics = diagnostics
+
+
+# value type of each config field, by its annotation; bools count only as bool
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
 
 
 @dataclass(frozen=True)
@@ -51,14 +67,21 @@ class SolverConfig:
     sample_stride: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            value, kind = getattr(self, f.name), _FIELD_TYPES[f.type]
+            if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.n_modes < 16 or self.n_modes & (self.n_modes - 1):
             raise ValueError("n_modes must be a power of two, at least 16")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.t_end <= 0 or round(self.t_end / self.dt) < 1:
+        ratio = self.t_end / self.dt
+        if not (math.isfinite(ratio) and round(ratio) >= 1):  # also rejects NaN and inf
             raise ValueError("t_end must allow at least one step of size dt")
-        if self.n_grassmann < 0:
-            raise ValueError("n_grassmann must be nonnegative")
+        if abs(round(ratio) * self.dt - self.t_end) > 1e-9 * self.t_end:  # rounding slack
+            raise ValueError(f"t_end {self.t_end!r} is not a whole number of steps dt {self.dt!r}")
+        if not 0 <= self.n_grassmann <= MAX_GRASSMANN:
+            raise ValueError(f"n_grassmann must be in 0..{MAX_GRASSMANN}, got {self.n_grassmann}")
         if self.gauge != "zero_mean_ut":
             raise ValueError(f"unknown gauge {self.gauge!r}")
         if self.sample_stride < 1:
@@ -66,29 +89,40 @@ class SolverConfig:
 
     @staticmethod
     def from_dict(data: Mapping) -> "SolverConfig":
-        known = {f: data[f] for f in (
-            "n_modes", "dt", "t_end", "n_grassmann", "gauge", "dealias", "sample_stride",
-        ) if f in data}
-        return SolverConfig(**known)
+        unknown = sorted(set(data) - {f.name for f in fields(SolverConfig)})
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+        return SolverConfig(**data)
 
 
 def grid(n_modes: int) -> np.ndarray:
     return TWO_PI * np.arange(n_modes) / n_modes
 
 
-def spectral_dx(arr: np.ndarray, order: int = 1) -> np.ndarray:
+def _derivatives(arr: np.ndarray, orders: Sequence[int]) -> List[np.ndarray]:
+    """Derivatives of the given orders along the last axis, from one transform."""
     n = arr.shape[-1]
-    k = np.fft.rfftfreq(n, d=1.0 / n)
-    return np.fft.irfft(np.fft.rfft(arr) * (1j * k) ** order, n)
+    spec = np.fft.rfft(arr)
+    ik = 1j * np.fft.rfftfreq(n, d=1.0 / n)
+    return [np.fft.irfft(spec * ik**order, n) for order in orders]
 
 
-def spectral_antiderivative(arr: np.ndarray) -> np.ndarray:
-    """Zero-mean antiderivative on the circle; the input mean is discarded."""
+def spectral_dx(arr: np.ndarray, order: int = 1) -> np.ndarray:
+    return _derivatives(arr, (order,))[0]
+
+
+def spectral_antiderivative(arr: np.ndarray, dealias: bool = False) -> np.ndarray:
+    """Zero-mean antiderivative on the circle; the input mean is discarded.
+
+    ``dealias`` first cuts the top third of the modes as ``dealias_23`` does.
+    """
     n = arr.shape[-1]
     k = np.fft.rfftfreq(n, d=1.0 / n)
     spec = np.fft.rfft(arr)
-    spec[0] = 0.0
-    spec[1:] = spec[1:] / (1j * k[1:])
+    if dealias:
+        spec[..., k > n / 3.0] = 0.0
+    spec[..., 0] = 0.0
+    spec[..., 1:] /= 1j * k[1:]
     return np.fft.irfft(spec, n)
 
 
@@ -96,8 +130,7 @@ def dealias_23(arr: np.ndarray) -> np.ndarray:
     """Standard two-thirds truncation of the top modes."""
     n = arr.shape[-1]
     spec = np.fft.rfft(arr)
-    k = np.fft.rfftfreq(n, d=1.0 / n)
-    spec[k > n / 3.0] = 0.0
+    spec[..., np.fft.rfftfreq(n, d=1.0 / n) > n / 3.0] = 0.0
     return np.fft.irfft(spec, n)
 
 
@@ -105,78 +138,40 @@ def dealias_23(arr: np.ndarray) -> np.ndarray:
 class GridState:
     """Physical-space samples of every Grassmann level of u and xi.
 
-    Only even-cardinality levels of u and odd-cardinality levels of xi exist;
-    the complementary levels are identically zero by parity and never stored.
+    ``u`` holds the even levels and ``xi`` the odd ones, one row each; the
+    complementary levels are identically zero by parity and never stored.
     """
 
-    u: LevelArrays
-    xi: LevelArrays
+    u: np.ndarray
+    xi: np.ndarray
     time: float = 0.0
 
     @property
     def n_modes(self) -> int:
-        for arr in self.u.values():
-            return arr.shape[-1]
-        for arr in self.xi.values():
-            return arr.shape[-1]
-        raise ValueError("empty state")
+        return self.u.shape[-1]
+
+    @property
+    def n_grassmann(self) -> int:
+        # 2**(N-1) odd rows for N >= 1, none for N = 0
+        return self.xi.shape[0].bit_length()
 
     def copy(self) -> "GridState":
-        return GridState(
-            {m: a.copy() for m, a in self.u.items()},
-            {m: a.copy() for m, a in self.xi.items()},
-            self.time,
-        )
+        return GridState(self.u.copy(), self.xi.copy(), self.time)
 
     @staticmethod
     def zeros(n_modes: int, n_grassmann: int, time: float = 0.0) -> "GridState":
-        u = {m: np.zeros(n_modes) for m in even_masks(n_grassmann)}
-        xi = {m: np.zeros(n_modes) for m in odd_masks(n_grassmann)}
+        u = np.zeros((len(even_masks(n_grassmann)), n_modes))
+        xi = np.zeros((len(odd_masks(n_grassmann)), n_modes))
         return GridState(u, xi, time)
 
     def finite(self) -> bool:
-        return all(np.isfinite(a).all() for a in self.u.values()) and all(
-            np.isfinite(a).all() for a in self.xi.values()
-        )
+        return bool(np.isfinite(self.u).all() and np.isfinite(self.xi).all())
+
+    def max_abs_ux(self) -> float:
+        return float(np.abs(spectral_dx(self.u)).max())
 
 
-def level_map(levels: LevelArrays, f: Callable[[np.ndarray], np.ndarray]) -> LevelArrays:
-    return {m: f(a) for m, a in levels.items()}
-
-
-def level_product(a: LevelArrays, b: LevelArrays) -> LevelArrays:
-    """Pointwise Grassmann product of two level families."""
-    out: LevelArrays = {}
-    for ma, arr_a in a.items():
-        for mb, arr_b in b.items():
-            sign = merge_sign(ma, mb)
-            if sign == 0:
-                continue
-            mask = ma | mb
-            if mask in out:
-                out[mask] = out[mask] + sign * (arr_a * arr_b)
-            else:
-                out[mask] = sign * (arr_a * arr_b)
-    return out
-
-
-def level_sum(*families: LevelArrays) -> LevelArrays:
-    out: LevelArrays = {}
-    for fam in families:
-        for m, a in fam.items():
-            out[m] = out[m] + a if m in out else a.copy()
-    return out
-
-
-def level_scale(c: float, fam: LevelArrays) -> LevelArrays:
-    return {m: c * a for m, a in fam.items()}
-
-
-def _project(fam: LevelArrays, masks: Sequence[int], n: int) -> LevelArrays:
-    return {m: fam.get(m, np.zeros(n)) for m in masks}
-
-
-def rhs_once_integrated(state: GridState, cfg: SolverConfig) -> Tuple[LevelArrays, LevelArrays]:
+def rhs_once_integrated(state: GridState, cfg: SolverConfig) -> Tuple[np.ndarray, np.ndarray]:
     """Time derivatives (u_t, xi_t) from the once-integrated equations.
 
     u_tx  = -(u u_xx + u_x**2/2 + xi_x xi_xx/2) - a(t)
@@ -184,44 +179,27 @@ def rhs_once_integrated(state: GridState, cfg: SolverConfig) -> Tuple[LevelArray
 
     a and b are the unique Grassmann-valued constants making the right sides
     mean-free (periodic solvability); u_t and xi_t then come from the
-    zero-mean spectral antiderivative.
+    zero-mean spectral antiderivative, which drops the mean.
     """
-    n = state.n_modes
-    u_x = level_map(state.u, spectral_dx)
-    u_xx = level_map(state.u, lambda v: spectral_dx(v, 2))
-    xi_x = level_map(state.xi, spectral_dx)
-    xi_xx = level_map(state.xi, lambda v: spectral_dx(v, 2))
-
-    w = level_scale(
-        -1.0,
-        level_sum(
-            level_product(state.u, u_xx),
-            level_scale(0.5, level_product(u_x, u_x)),
-            level_scale(0.5, level_product(xi_x, xi_xx)),
-        ),
+    n_gen = state.n_grassmann
+    u_x, u_xx = _derivatives(state.u, (1, 2))
+    xi_x, xi_xx = _derivatives(state.xi, (1, 2))
+    w = -(
+        gmul_stack(state.u, EVEN, u_xx, EVEN, n_gen)
+        + 0.5 * gmul_stack(u_x, EVEN, u_x, EVEN, n_gen)
+        + 0.5 * gmul_stack(xi_x, ODD, xi_xx, ODD, n_gen)
     )
-    v = level_scale(
-        -1.0,
-        level_sum(
-            level_product(state.u, xi_xx),
-            level_scale(0.5, level_product(u_x, xi_x)),
-        ),
+    v = -(
+        gmul_stack(state.u, EVEN, xi_xx, ODD, n_gen)
+        + 0.5 * gmul_stack(u_x, EVEN, xi_x, ODD, n_gen)
     )
-    w = _project(w, list(state.u.keys()), n)
-    v = _project(v, list(state.xi.keys()), n)
-    if cfg.dealias:
-        w = level_map(w, dealias_23)
-        v = level_map(v, dealias_23)
-    # subtracting the mean applies the gauge constants a(t), b(t)
-    du = {m: spectral_antiderivative(arr - arr.mean()) for m, arr in w.items()}
-    dxi = {m: spectral_antiderivative(arr - arr.mean()) for m, arr in v.items()}
-    return du, dxi
+    return tuple(spectral_antiderivative(f, cfg.dealias) for f in (w, v))
 
 
 def step(state: GridState, cfg: SolverConfig) -> GridState:
     """One classical fourth-order explicit step of size cfg.dt."""
     dt = cfg.dt
-    max_u = max((float(np.abs(a).max()) for a in state.u.values()), default=0.0)
+    max_u = float(np.abs(state.u).max())
     if dt * max_u > TWO_PI / state.n_modes:
         warnings.warn(
             f"dt*max|u| = {dt * max_u:.3g} exceeds the grid spacing; "
@@ -230,12 +208,8 @@ def step(state: GridState, cfg: SolverConfig) -> GridState:
             stacklevel=2,
         )
 
-    def add(s: GridState, c: float, du: LevelArrays, dxi: LevelArrays) -> GridState:
-        return GridState(
-            {m: s.u[m] + c * du[m] for m in s.u},
-            {m: s.xi[m] + c * dxi[m] for m in s.xi},
-            s.time,
-        )
+    def add(s: GridState, c: float, du: np.ndarray, dxi: np.ndarray) -> GridState:
+        return GridState(s.u + c * du, s.xi + c * dxi, s.time)
 
     with np.errstate(all="ignore"):
         k1u, k1x = rhs_once_integrated(state, cfg)
@@ -243,24 +217,12 @@ def step(state: GridState, cfg: SolverConfig) -> GridState:
         k3u, k3x = rhs_once_integrated(add(state, dt / 2, k2u, k2x), cfg)
         k4u, k4x = rhs_once_integrated(add(state, dt, k3u, k3x), cfg)
         new = GridState(
-            {
-                m: state.u[m] + dt / 6 * (k1u[m] + 2 * k2u[m] + 2 * k3u[m] + k4u[m])
-                for m in state.u
-            },
-            {
-                m: state.xi[m] + dt / 6 * (k1x[m] + 2 * k2x[m] + 2 * k3x[m] + k4x[m])
-                for m in state.xi
-            },
+            state.u + dt / 6 * (k1u + 2 * k2u + 2 * k3u + k4u),
+            state.xi + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x),
             state.time + dt,
         )
     if not new.finite():
-        diagnostics = {
-            "max_abs_u": max_u,
-            "max_abs_ux": max(
-                (float(np.abs(spectral_dx(a)).max()) for a in state.u.values()),
-                default=0.0,
-            ),
-        }
+        diagnostics = {"max_abs_u": max_u, "max_abs_ux": state.max_abs_ux()}
         raise BlowUpError(new.time, diagnostics)
     return new
 
@@ -271,19 +233,17 @@ def conserved_quantities(state: GridState, n_grassmann: int) -> Tuple[GrassmannE
     H1 = (1/2) integral (u_x**2 + xi_xx xi_x) dx
     H2 = (1/2) integral (u u_x**2 - u xi_x xi_xx) dx
     """
-    n = state.n_modes
-    u_x = level_map(state.u, spectral_dx)
-    xi_x = level_map(state.xi, spectral_dx)
-    xi_xx = level_map(state.xi, lambda a: spectral_dx(a, 2))
-    h1_density = level_sum(level_product(u_x, u_x), level_product(xi_xx, xi_x))
-    uux2 = level_product(state.u, level_product(u_x, u_x))
-    uxx = level_product(state.u, level_product(xi_x, xi_xx))
-    h2_density = level_sum(uux2, level_scale(-1.0, uxx))
-    h1 = {m: 0.5 * a.mean() * TWO_PI for m, a in h1_density.items()}
-    h2 = {m: 0.5 * a.mean() * TWO_PI for m, a in h2_density.items()}
-    return (
-        GrassmannElement(n_grassmann, h1),
-        GrassmannElement(n_grassmann, h2),
+    n = n_grassmann
+    u_x = spectral_dx(state.u)
+    xi_x, xi_xx = _derivatives(state.xi, (1, 2))
+    ux2 = gmul_stack(u_x, EVEN, u_x, EVEN, n)
+    h1_density = ux2 + gmul_stack(xi_xx, ODD, xi_x, ODD, n)
+    h2_density = gmul_stack(state.u, EVEN, ux2, EVEN, n) - gmul_stack(
+        state.u, EVEN, gmul_stack(xi_x, ODD, xi_xx, ODD, n), EVEN, n
+    )
+    return tuple(
+        GrassmannElement(n, dict(zip(even_masks(n), 0.5 * density.mean(axis=-1) * TWO_PI)))
+        for density in (h1_density, h2_density)
     )
 
 
@@ -313,11 +273,8 @@ def evolve(state0: GridState, cfg: SolverConfig) -> Trajectory:
 
     def record(s: GridState) -> None:
         h1, h2 = conserved_quantities(s, cfg.n_grassmann)
-        max_ux = max(
-            (float(np.abs(spectral_dx(a)).max()) for a in s.u.values()), default=0.0
-        )
         traj.states.append(s.copy())
-        traj.samples.append(ConservedSample(s.time, h1, h2, max_ux))
+        traj.samples.append(ConservedSample(s.time, h1, h2, s.max_abs_ux()))
 
     state = state0.copy()
     record(state)
@@ -345,32 +302,28 @@ def residual_check(traj: Trajectory) -> float:
         if abs((times[i] - times[i - 1]) - dt_s) > 1e-12:
             usable = i
             break
+    n_gen = traj.states[0].n_grassmann
     worst = 0.0
     for i in range(1, usable - 1):
         prev, cur, nxt = traj.states[i - 1], traj.states[i], traj.states[i + 1]
-        u_t = {m: (nxt.u[m] - prev.u[m]) / (2 * dt_s) for m in cur.u}
-        xi_t = {m: (nxt.xi[m] - prev.xi[m]) / (2 * dt_s) for m in cur.xi}
-        u_x = level_map(cur.u, spectral_dx)
-        u_xx = level_map(cur.u, lambda a: spectral_dx(a, 2))
-        u_xxx = level_map(cur.u, lambda a: spectral_dx(a, 3))
-        xi_x = level_map(cur.xi, spectral_dx)
-        xi_xx = level_map(cur.xi, lambda a: spectral_dx(a, 2))
-        xi_xxx = level_map(cur.xi, lambda a: spectral_dx(a, 3))
-        line1 = level_sum(
-            level_map(u_t, lambda a: -spectral_dx(a, 2)),
-            level_scale(-2.0, level_product(u_x, u_xx)),
-            level_scale(-1.0, level_product(cur.u, u_xxx)),
-            level_scale(-0.5, level_product(xi_x, xi_xxx)),
+        u_t = (nxt.u - prev.u) / (2 * dt_s)
+        xi_t = (nxt.xi - prev.xi) / (2 * dt_s)
+        u_x, u_xx, u_xxx = _derivatives(cur.u, (1, 2, 3))
+        xi_x, xi_xx, xi_xxx = _derivatives(cur.xi, (1, 2, 3))
+        line1 = (
+            -spectral_dx(u_t, 2)
+            - 2.0 * gmul_stack(u_x, EVEN, u_xx, EVEN, n_gen)
+            - gmul_stack(cur.u, EVEN, u_xxx, EVEN, n_gen)
+            - 0.5 * gmul_stack(xi_x, ODD, xi_xxx, ODD, n_gen)
         )
-        line2 = level_sum(
-            level_map(xi_t, lambda a: -spectral_dx(a, 2)),
-            level_scale(-1.0, level_product(cur.u, xi_xxx)),
-            level_scale(-1.5, level_product(u_x, xi_xx)),
-            level_scale(-0.5, level_product(u_xx, xi_x)),
+        line2 = (
+            -spectral_dx(xi_t, 2)
+            - gmul_stack(cur.u, EVEN, xi_xxx, ODD, n_gen)
+            - 1.5 * gmul_stack(u_x, EVEN, xi_xx, ODD, n_gen)
+            - 0.5 * gmul_stack(u_xx, EVEN, xi_x, ODD, n_gen)
         )
-        for fam in (line1, line2):
-            for arr in fam.values():
-                worst = max(worst, float(np.abs(arr).max()))
+        for line in (line1, line2):
+            worst = max(worst, float(np.abs(line).max(initial=0.0)))
     return worst
 
 
@@ -416,7 +369,7 @@ def initial_state(spec: Mapping, cfg: SolverConfig) -> GridState:
                 raise ValueError(
                     f"{name} component on level {entry.get('level')} has the wrong parity"
                 )
-            target[mask] += fourier_series(
+            target[mask_row(mask)] += fourier_series(
                 cfg.n_modes, entry.get("cos", {}), entry.get("sin", {})
             )
     return state
@@ -425,8 +378,10 @@ def initial_state(spec: Mapping, cfg: SolverConfig) -> GridState:
 def load_config(path: str) -> Tuple[SolverConfig, Mapping]:
     with open(path) as handle:
         data = json.load(handle)
-    cfg = SolverConfig.from_dict(data)
-    return cfg, data.get("initial", {})
+    if not isinstance(data, dict):
+        raise ValueError("the configuration must be a JSON object")
+    settings = {key: value for key, value in data.items() if key != "initial"}
+    return SolverConfig.from_dict(settings), data.get("initial", {})
 
 
 def mask_label(mask: int, n_grassmann: int) -> str:
@@ -455,16 +410,11 @@ def write_series_csv(path: str, traj: Trajectory, n_grassmann: int) -> None:
 
 def write_state_csv(path: str, state: GridState, n_grassmann: int) -> None:
     """x followed by every stored level of u and xi."""
-    n = state.n_modes
-    x = grid(n)
     header = ["x"]
-    header += [f"u_{mask_label(m, n_grassmann)}" for m in sorted(state.u)]
-    header += [f"xi_{mask_label(m, n_grassmann)}" for m in sorted(state.xi)]
+    header += [f"u_{mask_label(m, n_grassmann)}" for m in even_masks(n_grassmann)]
+    header += [f"xi_{mask_label(m, n_grassmann)}" for m in odd_masks(n_grassmann)]
+    columns = np.vstack([grid(state.n_modes), state.u, state.xi])
     lines = [",".join(header)]
-    for j in range(n):
-        row = [f"{x[j]:.16e}"]
-        row += [f"{state.u[m][j]:.16e}" for m in sorted(state.u)]
-        row += [f"{state.xi[m][j]:.16e}" for m in sorted(state.xi)]
-        lines.append(",".join(row))
+    lines += [",".join(f"{v:.16e}" for v in row.tolist()) for row in columns.T]
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")

@@ -13,15 +13,12 @@ import numpy as np
 
 from superhs.calculus import dx, superD
 from superhs.density import Density, euler_x, is_total_x_derivative
-from superhs.grassmann import GrassmannElement
+from superhs.grassmann import EVEN, ODD, GrassmannElement, even_masks, gmul_stack, mask_row
 from superhs.numerics import (
     GridState,
     SolverConfig,
     evolve,
     grid,
-    level_product,
-    level_scale,
-    level_sum,
     residual_check,
     rhs_once_integrated,
     spectral_dx,
@@ -150,17 +147,18 @@ def test_criterion_09_algebra_properties():
 
 def _drift_scales(state0, n_grassmann):
     """Per-level normalisation: |H(0)| or the L1 size of the initial integrand."""
-    u_x = {m: spectral_dx(a) for m, a in state0.u.items()}
-    xi_x = {m: spectral_dx(a) for m, a in state0.xi.items()}
-    xi_xx = {m: spectral_dx(a, 2) for m, a in state0.xi.items()}
-    h1_int = level_sum(level_product(u_x, u_x), level_product(xi_xx, xi_x))
-    h2_int = level_sum(
-        level_product(state0.u, level_product(u_x, u_x)),
-        level_scale(-1.0, level_product(state0.u, level_product(xi_x, xi_xx))),
+    n = n_grassmann
+    u_x = spectral_dx(state0.u)
+    xi_x = spectral_dx(state0.xi)
+    xi_xx = spectral_dx(state0.xi, 2)
+    ux2 = gmul_stack(u_x, EVEN, u_x, EVEN, n)
+    h1_int = ux2 + gmul_stack(xi_xx, ODD, xi_x, ODD, n)
+    h2_int = gmul_stack(state0.u, EVEN, ux2, EVEN, n) - gmul_stack(
+        state0.u, EVEN, gmul_stack(xi_x, ODD, xi_xx, ODD, n), EVEN, n
     )
     scales = {}
     for name, fam in (("h1", h1_int), ("h2", h2_int)):
-        for m, arr in fam.items():
+        for m, arr in zip(even_masks(n), fam):
             scales[(name, m)] = 0.5 * np.abs(arr).mean() * 2 * np.pi
     return scales
 
@@ -218,8 +216,8 @@ def _fermionic_state(n):
     x = grid(n)
     state = GridState.zeros(n, 2)
     state.u[0][:] = np.cos(x)
-    state.xi[0b01][:] = 0.1 * np.cos(x)
-    state.xi[0b10][:] = 0.1 * np.sin(x)
+    state.xi[mask_row(0b01)][:] = 0.1 * np.cos(x)
+    state.xi[mask_row(0b10)][:] = 0.1 * np.sin(x)
     return state
 
 
@@ -230,7 +228,7 @@ def test_criterion_11_numerics_fermionic():
         state = _fermionic_state(256)
         traj = evolve(state, cfg)
 
-        assert np.abs(traj.final.u[0b11]).max() > 1e-5  # top level excited
+        assert np.abs(traj.final.u[mask_row(0b11)]).max() > 1e-5  # top level excited
         _check_conservation_series(traj, state, 2, 1e-7)
 
         coarse = residual_check(traj)
@@ -273,13 +271,13 @@ def test_criterion_12_symbolic_numeric_cross_check():
         cfg = SolverConfig(n_modes=n, dt=1e-3, t_end=0.1, n_grassmann=2)
         state = GridState.zeros(n, 2)
         state.u[0][:] = _analytic_samples("u_body", 0, x)
-        state.u[0b11][:] = _analytic_samples("u_top", 0, x)
-        state.xi[0b01][:] = _analytic_samples("xi_1", 0, x)
-        state.xi[0b10][:] = _analytic_samples("xi_2", 0, x)
+        state.u[mask_row(0b11)][:] = _analytic_samples("u_top", 0, x)
+        state.xi[mask_row(0b01)][:] = _analytic_samples("xi_1", 0, x)
+        state.xi[mask_row(0b10)][:] = _analytic_samples("xi_2", 0, x)
 
         du, dxi = rhs_once_integrated(state, cfg)
-        m_t = {m: -spectral_dx(a, 2) for m, a in du.items()}
-        eta_t = {m: -spectral_dx(a, 2) for m, a in dxi.items()}
+        m_t = -spectral_dx(du, 2)
+        eta_t = -spectral_dx(dxi, 2)
 
         system = geodesic_system()
         rng = random.Random(1234)
@@ -298,8 +296,8 @@ def test_criterion_12_symbolic_numeric_cross_check():
             sym_m = system.rhs_m.evaluate(bindings, 2)
             sym_eta = system.rhs_eta.evaluate(bindings, 2)
             for mask in (0, 0b11):
-                worst = max(worst, abs(sym_m.coeffs.get(mask, 0.0) - m_t[mask][j]))
+                worst = max(worst, abs(sym_m.coeffs.get(mask, 0.0) - m_t[mask_row(mask)][j]))
             for mask in (0b01, 0b10):
-                worst = max(worst, abs(sym_eta.coeffs.get(mask, 0.0) - eta_t[mask][j]))
+                worst = max(worst, abs(sym_eta.coeffs.get(mask, 0.0) - eta_t[mask_row(mask)][j]))
         assert worst <= 1e-10
         note["info"] = f"max deviation {worst:.2e}"

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from superhs import cli
 from superhs.cli import main
 from superhs.reporting import VerificationReport
 
@@ -114,6 +115,38 @@ def test_simulate_malformed_config_exits_2(tmp_path, capsys):
 
     wrong = write_config(tmp_path / "wrong.json", n_modes=77)
     assert main(["simulate", "--config", str(wrong), "--out-dir", str(tmp_path / "o2")]) == 2
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"n_mode": 64}, "unknown config key(s): n_mode"),
+        ({"dealias": "false"}, "dealias must be of type bool"),
+        ({"n_modes": 16.0}, "n_modes must be of type int"),
+        ({"n_grassmann": 2.0}, "n_grassmann must be of type int"),
+        ({"sample_stride": 1.5}, "sample_stride must be of type int"),
+        ({"dt": 0.01, "t_end": 0.025}, "is not a whole number of steps"),
+        ({"n_grassmann": 30}, "n_grassmann must be in 0..8"),
+    ],
+    ids=["unknown-key", "dealias-string", "n_modes-float", "n_grassmann-float",
+         "stride-float", "t_end-off-grid", "n_grassmann-cap"],
+)
+def test_simulate_rejects_bad_settings_exits_2(tmp_path, capsys, monkeypatch, overrides, message):
+    def no_state(*_args):
+        raise AssertionError("a rejected config must not build a state")
+
+    monkeypatch.setattr(cli, "initial_state", no_state)
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "bad configuration" in err and message in err
+
+
+def test_simulate_non_object_config_exits_2(tmp_path, capsys):
+    bad = tmp_path / "list.json"
+    bad.write_text("[1, 2]")
+    assert main(["simulate", "--config", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
 
 
 def test_simulate_missing_config_exits_2(tmp_path):

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from superhs.grassmann import (
@@ -11,7 +12,9 @@ from superhs.grassmann import (
     even_masks,
     gadd,
     gmul,
+    gmul_stack,
     gsub,
+    mask_row,
     merge_sign,
     odd_masks,
     parity_of,
@@ -108,3 +111,25 @@ def test_odd_squares_vanish_randomized():
     for _ in range(50):
         a = _random_element(rng, 5, ODD)
         assert gmul(a, a).is_zero()
+
+
+@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("parity_a", [EVEN, ODD])
+@pytest.mark.parametrize("parity_b", [EVEN, ODD])
+def test_gmul_stack_matches_gmul(n, parity_a, parity_b):
+    rng = np.random.default_rng(100 * n + 10 * parity_a + parity_b)
+    masks = (even_masks(n), odd_masks(n))
+    points = 3
+    a = rng.uniform(-1.0, 1.0, (len(masks[parity_a]), points))
+    b = rng.uniform(-1.0, 1.0, (len(masks[parity_b]), points))
+    out = gmul_stack(a, parity_a, b, parity_b, n)
+    out_masks = masks[parity_a ^ parity_b]
+    assert out.shape == (len(out_masks), points)
+    assert [mask_row(m) for m in out_masks] == list(range(len(out_masks)))
+    for j in range(points):
+        ga = GrassmannElement(n, dict(zip(masks[parity_a], a[:, j])))
+        gb = GrassmannElement(n, dict(zip(masks[parity_b], b[:, j])))
+        expected = gmul(ga, gb)
+        assert set(expected.coeffs) <= set(out_masks)
+        for row, mask in enumerate(out_masks):
+            assert abs(out[row, j] - expected.coeffs.get(mask, 0.0)) <= 1e-14

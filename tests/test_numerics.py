@@ -3,6 +3,17 @@ import warnings
 import numpy as np
 import pytest
 
+from superhs.grassmann import (
+    ODD,
+    GrassmannElement,
+    even_masks,
+    gadd,
+    gmul,
+    gmul_stack,
+    mask_row,
+    odd_masks,
+    scale,
+)
 from superhs.numerics import (
     BlowUpError,
     GridState,
@@ -12,7 +23,6 @@ from superhs.numerics import (
     evolve,
     grid,
     initial_state,
-    level_product,
     residual_check,
     rhs_once_integrated,
     spectral_antiderivative,
@@ -33,8 +43,8 @@ def fermionic_state(n=256):
     x = grid(n)
     state = GridState.zeros(n, 2)
     state.u[0][:] = np.cos(x)
-    state.xi[0b01][:] = 0.1 * np.cos(x)
-    state.xi[0b10][:] = 0.1 * np.sin(x)
+    state.xi[mask_row(0b01)][:] = 0.1 * np.cos(x)
+    state.xi[mask_row(0b10)][:] = 0.1 * np.sin(x)
     return state
 
 
@@ -64,10 +74,10 @@ def test_zero_state_is_fixed_point():
     cfg = SolverConfig(n_modes=32, dt=1e-2, t_end=0.1, n_grassmann=2)
     state = GridState.zeros(32, 2)
     du, dxi = rhs_once_integrated(state, cfg)
-    assert all(np.abs(a).max() == 0.0 for a in du.values())
-    assert all(np.abs(a).max() == 0.0 for a in dxi.values())
+    assert all(np.abs(a).max() == 0.0 for a in du)
+    assert all(np.abs(a).max() == 0.0 for a in dxi)
     stepped = step(state, cfg)
-    assert all(np.abs(a).max() == 0.0 for a in stepped.u.values())
+    assert all(np.abs(a).max() == 0.0 for a in stepped.u)
 
 
 def test_cos_initial_velocity_closed_form():
@@ -83,10 +93,10 @@ def test_single_fermion_level_is_inert():
     # backreaction needs two distinct generators
     cfg = SolverConfig(n_modes=64, dt=1e-3, t_end=0.1, n_grassmann=2)
     state = GridState.zeros(64, 2)
-    state.xi[0b01][:] = 0.2 * np.cos(grid(64))
+    state.xi[mask_row(0b01)][:] = 0.2 * np.cos(grid(64))
     du, dxi = rhs_once_integrated(state, cfg)
-    assert all(np.abs(a).max() < 1e-15 for a in du.values())
-    assert all(np.abs(a).max() < 1e-15 for a in dxi.values())
+    assert all(np.abs(a).max() < 1e-15 for a in du)
+    assert all(np.abs(a).max() < 1e-15 for a in dxi)
 
 
 def test_one_step_matches_refined_reference():
@@ -129,7 +139,7 @@ def test_gauge_zero_mean_velocities():
     cfg = SolverConfig(n_modes=128, dt=1e-3, t_end=0.1, n_grassmann=2)
     state = fermionic_state(128)
     du, dxi = rhs_once_integrated(state, cfg)
-    for arr in list(du.values()) + list(dxi.values()):
+    for arr in list(du) + list(dxi):
         assert abs(arr.mean()) < 1e-13
         # mean-free right side of the once-integrated equation: solvability
         assert abs(spectral_dx(arr).mean()) < 1e-13
@@ -138,8 +148,8 @@ def test_gauge_zero_mean_velocities():
 
 def test_parity_structure_of_state():
     state = GridState.zeros(64, 2)
-    assert set(state.u) == {0b00, 0b11}
-    assert set(state.xi) == {0b01, 0b10}
+    assert even_masks(2) == [0b00, 0b11] and state.u.shape == (2, 64)
+    assert odd_masks(2) == [0b01, 0b10] and state.xi.shape == (2, 64)
 
 
 def test_bosonic_consistency_across_truncations():
@@ -154,7 +164,7 @@ def test_bosonic_consistency_across_truncations():
     t0 = evolve(s0, cfg0)
     t2 = evolve(s2, cfg2)
     assert np.abs(t0.final.u[0] - t2.final.u[0]).max() < 1e-14
-    assert np.abs(t2.final.u[0b11]).max() == 0.0
+    assert np.abs(t2.final.u[mask_row(0b11)]).max() == 0.0
 
 
 def _oracle_rhs(ub, x1, x2, us, dealias):
@@ -206,17 +216,74 @@ def test_rhs_matches_independent_component_oracle():
     rng = np.random.default_rng(42)
     # smooth random trig data on every level
     state.u[0][:] = np.cos(x) + 0.3 * np.sin(2 * x)
-    state.u[0b11][:] = 0.2 * np.sin(x) - 0.1 * np.cos(3 * x)
-    state.xi[0b01][:] = 0.1 * np.cos(x) + 0.05 * np.sin(2 * x)
-    state.xi[0b10][:] = 0.1 * np.sin(x) - 0.2 * np.cos(2 * x)
+    state.u[mask_row(0b11)][:] = 0.2 * np.sin(x) - 0.1 * np.cos(3 * x)
+    state.xi[mask_row(0b01)][:] = 0.1 * np.cos(x) + 0.05 * np.sin(2 * x)
+    state.xi[mask_row(0b10)][:] = 0.1 * np.sin(x) - 0.2 * np.cos(2 * x)
     du, dxi = rhs_once_integrated(state, cfg)
     ub_t, x1_t, x2_t, us_t = _oracle_rhs(
-        state.u[0], state.xi[0b01], state.xi[0b10], state.u[0b11], cfg.dealias
+        state.u[0],
+        state.xi[mask_row(0b01)],
+        state.xi[mask_row(0b10)],
+        state.u[mask_row(0b11)],
+        cfg.dealias,
     )
     assert np.abs(du[0] - ub_t).max() < 1e-13
-    assert np.abs(dxi[0b01] - x1_t).max() < 1e-13
-    assert np.abs(dxi[0b10] - x2_t).max() < 1e-13
-    assert np.abs(du[0b11] - us_t).max() < 1e-13
+    assert np.abs(dxi[mask_row(0b01)] - x1_t).max() < 1e-13
+    assert np.abs(dxi[mask_row(0b10)] - x2_t).max() < 1e-13
+    assert np.abs(du[mask_row(0b11)] - us_t).max() < 1e-13
+
+
+def _pointwise_rhs(state, n_gen, dealias):
+    """Reference right-hand side: one GrassmannElement per grid point and gmul."""
+    n = state.n_modes
+    e_masks, o_masks = even_masks(n_gen), odd_masks(n_gen)
+
+    def elements(levels, masks, order):
+        rows = [spectral_dx(row, order) if order else row for row in levels]
+        return [GrassmannElement(n_gen, {m: r[j] for m, r in zip(masks, rows)}) for j in range(n)]
+
+    u = elements(state.u, e_masks, 0)
+    u_x, u_xx = (elements(state.u, e_masks, k) for k in (1, 2))
+    xi_x, xi_xx = (elements(state.xi, o_masks, k) for k in (1, 2))
+    w = [
+        scale(-1.0, gadd(gadd(gmul(u[j], u_xx[j]), scale(0.5, gmul(u_x[j], u_x[j]))),
+                         scale(0.5, gmul(xi_x[j], xi_xx[j]))))
+        for j in range(n)
+    ]
+    v = [
+        scale(-1.0, gadd(gmul(u[j], xi_xx[j]), scale(0.5, gmul(u_x[j], xi_x[j]))))
+        for j in range(n)
+    ]
+
+    def integrate(values, masks):
+        out = []
+        for m in masks:
+            level = np.array([g.coeffs.get(m, 0.0) for g in values])
+            if dealias:
+                level = dealias_23(level)
+            out.append(spectral_antiderivative(level - level.mean()))
+        return np.array(out).reshape(len(masks), n)
+
+    return integrate(w, e_masks), integrate(v, o_masks)
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+def test_rhs_matches_pointwise_reference_at_n4(dealias):
+    n, n_gen = 64, 4
+    x = grid(n)
+    cfg = SolverConfig(n_modes=n, dt=1e-3, t_end=0.1, n_grassmann=n_gen, dealias=dealias)
+    state = GridState.zeros(n, n_gen)
+    rng = np.random.default_rng(4)
+    for stack in (state.u, state.xi):
+        for row in stack:
+            a, b = rng.uniform(-0.3, 0.3, 2)
+            k = rng.integers(1, 12)  # products reach past the 2/3 cut at n/3
+            row[:] = a * np.cos(k * x) + b * np.sin((k + 1) * x)
+    state.u[0] += np.cos(x)
+    du, dxi = rhs_once_integrated(state, cfg)
+    ref_du, ref_dxi = _pointwise_rhs(state, n_gen, dealias)
+    assert np.abs(du - ref_du).max() < 1e-13
+    assert np.abs(dxi - ref_dxi).max() < 1e-13
 
 
 def test_trajectory_matches_component_oracle():
@@ -228,9 +295,9 @@ def test_trajectory_matches_component_oracle():
     traj = evolve(state, cfg)
 
     ub = state.u[0].copy()
-    x1 = state.xi[0b01].copy()
-    x2 = state.xi[0b10].copy()
-    us = state.u[0b11].copy()
+    x1 = state.xi[mask_row(0b01)].copy()
+    x2 = state.xi[mask_row(0b10)].copy()
+    us = state.u[mask_row(0b11)].copy()
     for _ in range(steps):
         k1 = _oracle_rhs(ub, x1, x2, us, cfg.dealias)
         k2 = _oracle_rhs(
@@ -248,15 +315,15 @@ def test_trajectory_matches_component_oracle():
         us = us + dt / 6 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
     final = traj.final
     assert np.abs(final.u[0] - ub).max() < 1e-12
-    assert np.abs(final.xi[0b01] - x1).max() < 1e-12
-    assert np.abs(final.xi[0b10] - x2).max() < 1e-12
-    assert np.abs(final.u[0b11] - us).max() < 1e-12
+    assert np.abs(final.xi[mask_row(0b01)] - x1).max() < 1e-12
+    assert np.abs(final.xi[mask_row(0b10)] - x2).max() < 1e-12
+    assert np.abs(final.u[mask_row(0b11)] - us).max() < 1e-12
 
 
 def test_top_level_gets_excited():
     cfg = SolverConfig(n_modes=128, dt=1e-3, t_end=0.5, n_grassmann=2, sample_stride=100)
     traj = evolve(fermionic_state(128), cfg)
-    assert np.abs(traj.final.u[0b11]).max() > 1e-5
+    assert np.abs(traj.final.u[mask_row(0b11)]).max() > 1e-5
 
 
 def test_conserved_quantities_structure():
@@ -270,12 +337,13 @@ def test_conserved_quantities_structure():
 
 
 def test_level_product_merge_signs():
-    a = {0b01: np.array([2.0]), 0b10: np.array([3.0])}
-    b = {0b01: np.array([5.0]), 0b10: np.array([7.0])}
-    out = level_product(a, b)
+    # odd stacks over Lambda_2: rows e1, e2
+    a = np.array([[2.0], [3.0]])
+    b = np.array([[5.0], [7.0]])
+    out = gmul_stack(a, ODD, b, ODD, 2)
     # e1*e2 component: 2*7 - 3*5 = -1
-    assert out.keys() == {0b11}
-    assert np.allclose(out[0b11], [-1.0])
+    assert np.all(out[mask_row(0b00)] == 0.0)
+    assert np.allclose(out[mask_row(0b11)], [-1.0])
 
 
 def test_blowup_detection():
@@ -330,7 +398,7 @@ def test_initial_state_parsing_and_validation():
     )
     x = grid(64)
     assert np.abs(state.u[0] - (np.cos(x) + 0.5 * np.sin(2 * x))).max() < 1e-14
-    assert np.abs(state.xi[0b01] - 0.1 * np.cos(x)).max() < 1e-14
+    assert np.abs(state.xi[mask_row(0b01)] - 0.1 * np.cos(x)).max() < 1e-14
     with pytest.raises(ValueError):
         initial_state({"u": [{"level": [1], "cos": {"1": 1.0}}]}, cfg)
     with pytest.raises(ValueError):
