@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Hashable, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 from .grassmann import GrassmannElement, gadd, gmul
 
@@ -129,6 +129,35 @@ def _sort_factors(factors: Iterable[JetFactor]) -> Optional[Tuple[int, Tuple[Jet
     return sign, tuple(lst)
 
 
+def _canonical(pairs: Iterable[Tuple[TermKey, ScalarLike]]) -> Iterator[Tuple[TermKey, Fraction]]:
+    """Canonical ``(key, coeff)`` pairs from keys with unsorted factors.
+
+    Monomials that vanish (a repeated odd factor) are dropped.
+    """
+    for (lam, theta, factors), coeff in pairs:
+        sorted_ = _sort_factors(factors)
+        if sorted_ is not None:
+            yield (lam, theta, sorted_[1]), sorted_[0] * Fraction(coeff)
+
+
+def _accumulate(pairs: Iterable[Tuple[Hashable, Fraction]], acc: Optional[dict] = None) -> dict:
+    """Sum ``(key, coeff)`` pairs into ``acc`` (a new dict when omitted) and return it.
+
+    The one normalise-and-accumulate loop of the symbolic kernel: equal keys
+    merge and a key whose sum cancels to zero is removed, so no zero
+    coefficient is ever stored.  Keys must already be canonical.
+    """
+    if acc is None:
+        acc = {}
+    for key, coeff in pairs:
+        cur = acc.get(key, 0) + coeff
+        if cur:
+            acc[key] = cur
+        else:
+            acc.pop(key, None)
+    return acc
+
+
 def _mul_keys(k1: TermKey, k2: TermKey) -> Optional[Tuple[int, TermKey]]:
     """Product of two canonical monomial keys, with the graded sign."""
     lam = k1[0] + k2[0]
@@ -162,23 +191,9 @@ class SymExpr:
         if terms is None:
             data: Dict[TermKey, Fraction] = {}
         elif _internal:
-            data = dict(terms)
+            data = terms  # a fresh canonical dict built by the caller
         else:
-            data = {}
-            for key, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff == 0:
-                    continue
-                sorted_ = _sort_factors(key[2])
-                if sorted_ is None:
-                    continue
-                sign, factors = sorted_
-                ckey = (key[0], key[1], factors)
-                cur = data.get(ckey, Fraction(0)) + sign * coeff
-                if cur:
-                    data[ckey] = cur
-                else:
-                    data.pop(ckey, None)
+            data = _accumulate(_canonical(terms.items()))
         object.__setattr__(self, "_terms", data)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
@@ -208,22 +223,8 @@ class SymExpr:
     @staticmethod
     def from_terms(raw: Iterable[Tuple[ScalarLike, int, int, Tuple[JetFactor, ...]]]) -> "SymExpr":
         """Sum of raw ``(coeff, lam, theta, factors)`` monomials."""
-        acc: Dict[TermKey, Fraction] = {}
-        for coeff, lam, theta, factors in raw:
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            sorted_ = _sort_factors(factors)
-            if sorted_ is None:
-                continue
-            sign, sf = sorted_
-            key = (lam, theta, sf)
-            cur = acc.get(key, Fraction(0)) + sign * coeff
-            if cur:
-                acc[key] = cur
-            else:
-                acc.pop(key, None)
-        return SymExpr(acc, _internal=True)
+        pairs = (((lam, theta, factors), coeff) for coeff, lam, theta, factors in raw)
+        return SymExpr(_accumulate(_canonical(pairs)), _internal=True)
 
     # -- inspection --------------------------------------------------------
     def terms(self) -> Iterator[Tuple[TermKey, Fraction]]:
@@ -283,14 +284,7 @@ class SymExpr:
             return other
         if not other._terms:
             return self
-        acc = dict(self._terms)
-        for key, coeff in other._terms.items():
-            cur = acc.get(key, Fraction(0)) + coeff
-            if cur:
-                acc[key] = cur
-            else:
-                acc.pop(key, None)
-        return SymExpr(acc, _internal=True)
+        return SymExpr(_accumulate(other._terms.items(), dict(self._terms)), _internal=True)
 
     def __neg__(self) -> "SymExpr":
         return SymExpr({k: -c for k, c in self._terms.items()}, _internal=True)
@@ -308,19 +302,13 @@ class SymExpr:
             return SymExpr({k: other * c for k, c in self._terms.items()}, _internal=True)
         if not isinstance(other, SymExpr):
             return NotImplemented
-        acc: Dict[TermKey, Fraction] = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
-                res = _mul_keys(k1, k2)
-                if res is None:
-                    continue
-                sign, key = res
-                cur = acc.get(key, Fraction(0)) + sign * c1 * c2
-                if cur:
-                    acc[key] = cur
-                else:
-                    acc.pop(key, None)
-        return SymExpr(acc, _internal=True)
+        products = (
+            (res[1], res[0] * c1 * c2)
+            for k1, c1 in self._terms.items()
+            for k2, c2 in other._terms.items()
+            if (res := _mul_keys(k1, k2)) is not None
+        )
+        return SymExpr(_accumulate(products), _internal=True)
 
     def __rmul__(self, other: ScalarLike) -> "SymExpr":
         if isinstance(other, (int, Fraction)):

@@ -25,33 +25,19 @@ from .algebra import (
     ParityError,
     SymExpr,
     TermKey,
-    _sort_factors,
+    _accumulate,
     theta_factor,
 )
 
 
 def _derive_terms(e: SymExpr, raise_jet) -> SymExpr:
     """Even derivation: Leibniz over factors, no graded signs."""
-    acc: Dict[TermKey, Fraction] = {}
-    for (lam, theta, factors), coeff in e._terms.items():
-        for i, f in enumerate(factors):
-            if f.symbol.constant:
-                continue
-            new = raise_jet(f)
-            if new is None:
-                continue
-            cand = factors[:i] + (new,) + factors[i + 1 :]
-            sorted_ = _sort_factors(cand)
-            if sorted_ is None:
-                continue
-            sign, sf = sorted_
-            key = (lam, theta, sf)
-            cur = acc.get(key, Fraction(0)) + sign * coeff
-            if cur:
-                acc[key] = cur
-            else:
-                acc.pop(key, None)
-    return SymExpr(acc, _internal=True)
+    return SymExpr.from_terms(
+        (coeff, lam, theta, factors[:i] + (new,) + factors[i + 1 :])
+        for (lam, theta, factors), coeff in e._terms.items()
+        for i, f in enumerate(factors)
+        if not f.symbol.constant and (new := raise_jet(f)) is not None
+    )
 
 
 def dx(e: SymExpr) -> SymExpr:
@@ -76,44 +62,33 @@ def superD(e: SymExpr) -> SymExpr:
       theta moves to the front past the same prefix, so the two signs cancel
       and the term survives only when no theta was present.
     """
-    acc: Dict[TermKey, Fraction] = {}
 
-    def _add(key: TermKey, coeff: Fraction) -> None:
-        sorted_ = _sort_factors(key[2])
-        if sorted_ is None:
-            return
-        sign, sf = sorted_
-        ckey = (key[0], key[1], sf)
-        cur = acc.get(ckey, Fraction(0)) + sign * coeff
-        if cur:
-            acc[ckey] = cur
-        else:
-            acc.pop(ckey, None)
-
-    for (lam, theta, factors), coeff in e._terms.items():
-        if theta:
-            # D(theta) = 1 with empty prefix
-            _add((lam, 0, factors), coeff)
-        prefix_parity = theta
-        for i, f in enumerate(factors):
-            if f.symbol.constant:
-                prefix_parity ^= f.parity
-                continue
-            if f.symbol.superspace:
-                if f.dtheta:
-                    new = JetFactor(f.symbol, f.dx + 1, f.dt, 0)
+    def raw():
+        for (lam, theta, factors), coeff in e._terms.items():
+            if theta:
+                # D(theta) = 1 with empty prefix
+                yield coeff, lam, 0, factors
+            prefix_parity = theta
+            for i, f in enumerate(factors):
+                if f.symbol.constant:
+                    prefix_parity ^= f.parity
+                    continue
+                if f.symbol.superspace:
+                    if f.dtheta:
+                        new = JetFactor(f.symbol, f.dx + 1, f.dt, 0)
+                    else:
+                        new = JetFactor(f.symbol, f.dx, f.dt, 1)
+                    sign = -1 if prefix_parity else 1
+                    yield sign * coeff, lam, theta, factors[:i] + (new,) + factors[i + 1 :]
                 else:
-                    new = JetFactor(f.symbol, f.dx, f.dt, 1)
-                sign = -1 if prefix_parity else 1
-                _add((lam, theta, factors[:i] + (new,) + factors[i + 1 :]), sign * coeff)
-            else:
-                # theta*f_x insertion: the Leibniz prefix sign and the sign of
-                # moving theta to the front cancel; theta**2 = 0 kills the term
-                if not theta:
-                    new = JetFactor(f.symbol, f.dx + 1, f.dt, 0)
-                    _add((lam, 1, factors[:i] + (new,) + factors[i + 1 :]), coeff)
-            prefix_parity ^= f.parity
-    return SymExpr(acc, _internal=True)
+                    # theta*f_x insertion: the Leibniz prefix sign and the sign of
+                    # moving theta to the front cancel; theta**2 = 0 kills the term
+                    if not theta:
+                        new = JetFactor(f.symbol, f.dx + 1, f.dt, 0)
+                        yield coeff, lam, 1, factors[:i] + (new,) + factors[i + 1 :]
+                prefix_parity ^= f.parity
+
+    return SymExpr.from_terms(raw())
 
 
 def theta_strip(e: SymExpr) -> Tuple[SymExpr, SymExpr]:
@@ -220,36 +195,34 @@ def substitute(
         reverse=True,
     )
     cache: Dict[Tuple[JetFactor, int, int], SymExpr] = {}
-    acc: Dict[TermKey, Fraction] = {}
-    work = [(key, coeff) for key, coeff in e._terms.items()]
-    budget = max_rewrites
-    while work:
-        (lam, theta, factors), coeff = work.pop()
-        hit = None
-        for i, f in enumerate(factors):
-            for key in keys:
-                if _applicable(f, key):
-                    hit = (i, key)
+
+    def settled():
+        """Yield every monomial that no rule rewrites, expanding the others."""
+        work = list(e._terms.items())
+        budget = max_rewrites
+        while work:
+            (lam, theta, factors), coeff = work.pop()
+            hit = None
+            for i, f in enumerate(factors):
+                for key in keys:
+                    if _applicable(f, key):
+                        hit = (i, key)
+                        break
+                if hit:
                     break
-            if hit:
-                break
-        if hit is None:
-            cur = acc.get((lam, theta, factors), Fraction(0)) + coeff
-            if cur:
-                acc[(lam, theta, factors)] = cur
-            else:
-                acc.pop((lam, theta, factors), None)
-            continue
-        budget -= 1
-        if budget < 0:
-            raise SubstitutionError("substitution did not terminate (rule cycle?)")
-        i, key = hit
-        repl = _prolong(rules[key], key, factors[i], cache)
-        prefix = SymExpr.monomial(coeff, factors[:i], lam=lam, theta=theta)
-        suffix = SymExpr.monomial(1, factors[i + 1 :])
-        for k, c in (prefix * repl * suffix)._terms.items():
-            work.append((k, c))
-    return SymExpr(acc, _internal=True)
+            if hit is None:
+                yield (lam, theta, factors), coeff
+                continue
+            budget -= 1
+            if budget < 0:
+                raise SubstitutionError("substitution did not terminate (rule cycle?)")
+            i, key = hit
+            repl = _prolong(rules[key], key, factors[i], cache)
+            prefix = SymExpr.monomial(coeff, factors[:i], lam=lam, theta=theta)
+            suffix = SymExpr.monomial(1, factors[i + 1 :])
+            work.extend((prefix * repl * suffix)._terms.items())
+
+    return SymExpr(_accumulate(settled()), _internal=True)
 
 
 def first_variation(e: SymExpr, variations: Mapping[FieldSymbol, SymExpr]) -> SymExpr:

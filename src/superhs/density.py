@@ -20,7 +20,10 @@ sector (fixed field content, theta flag, lam power and total x-order) the
 subspace of exact terms is spanned by derivatives of the one-lower sector, and
 the integrand is reduced against that span by exact Gaussian elimination.
 Monomials concentrating derivatives on few factors are eliminated first, so
-one integration by parts sends ``u*u_xx`` to ``-u_x**2``.
+one integration by parts sends ``u*u_xx`` to ``-u_x**2``.  That sparse
+eliminator, ``_reduce_against``, is the only one in the package: the flux
+certificates of ``structures.conservation_check`` decide span membership with
+it too (an empty residual means the target lies in the span).
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .algebra import ODD, FieldSymbol, JetFactor, SymExpr, TermKey, _sort_factors
+from .algebra import ODD, FieldSymbol, JetFactor, SymExpr, TermKey, _accumulate, _sort_factors
 from .calculus import berezin, dx, dt
 
 
@@ -58,23 +61,16 @@ def partial_jet(e: SymExpr, jet: JetFactor) -> SymExpr:
     For an odd jet the factor is moved to the right end of the monomial (one
     sign flip per odd factor passed) and stripped.
     """
-    acc: Dict[TermKey, Fraction] = {}
-    for (lam, theta, factors), coeff in e._terms.items():
-        for i, f in enumerate(factors):
-            if f != jet:
-                continue
-            sign = 1
-            if f.parity:
-                suffix_parity = sum(g.parity for g in factors[i + 1 :]) % 2
-                if suffix_parity:
-                    sign = -1
-            key = (lam, theta, factors[:i] + factors[i + 1 :])
-            cur = acc.get(key, Fraction(0)) + sign * coeff
-            if cur:
-                acc[key] = cur
-            else:
-                acc.pop(key, None)
-    return SymExpr(acc, _internal=True)
+
+    def stripped():
+        for (lam, theta, factors), coeff in e._terms.items():
+            for i, f in enumerate(factors):
+                if f == jet:
+                    # removing one factor keeps the tuple canonical
+                    sign = -1 if f.parity and sum(g.parity for g in factors[i + 1 :]) % 2 else 1
+                    yield (lam, theta, factors[:i] + factors[i + 1 :]), sign * coeff
+
+    return SymExpr(_accumulate(stripped()), _internal=True)
 
 
 def _check_component_only(e: SymExpr) -> None:
@@ -106,21 +102,14 @@ def euler_x(e: SymExpr, field: FieldSymbol, dt_order: int = 0) -> SymExpr:
 
 
 def euler_xt(e: SymExpr, field: FieldSymbol) -> SymExpr:
-    """Space-time Euler operator: sum over all (t, x) jet orders of the field."""
-    _check_component_only(e)
-    if field.constant:
-        raise ValueError("constants are coefficients, not variational fields")
-    orders = {(f.dt, f.dx) for f in e.jet_factors() if f.symbol == field}
+    """Space-time Euler operator: sum_j (-d/dt)**j of ``euler_x`` at t-order j."""
+    max_j = max((f.dt for f in e.jet_factors() if f.symbol == field), default=0)
     total = SymExpr.zero()
-    for j, k in sorted(orders):
-        term = partial_jet(e, JetFactor(field, dx=k, dt=j))
-        for _ in range(k):
-            term = dx(term)
+    for j in range(max_j + 1):
+        term = euler_x(e, field, j)
         for _ in range(j):
             term = dt(term)
-        if (j + k) % 2:
-            term = -term
-        total = total + term
+        total = total + (term if j % 2 == 0 else -term)
     return total
 
 
@@ -260,23 +249,13 @@ def _reduce_against(
         for row in rows:
             factor = row.get(col)
             if factor:
-                for c, v in pivot_row.items():
-                    cur = row.get(c, Fraction(0)) - factor * v
-                    if cur:
-                        row[c] = cur
-                    else:
-                        row.pop(c, None)
+                _accumulate(((c, -factor * v) for c, v in pivot_row.items()), row)
         pivots[col] = pivot_row
     vec = dict(target)
     for col in columns:
         coeff = vec.get(col)
         if coeff and col in pivots:
-            for c, v in pivots[col].items():
-                cur = vec.get(c, Fraction(0)) - coeff * v
-                if cur:
-                    vec[c] = cur
-                else:
-                    vec.pop(c, None)
+            _accumulate(((c, -coeff * v) for c, v in pivots[col].items()), vec)
     return vec
 
 

@@ -56,6 +56,13 @@ class BlowUpError(RuntimeError):
 _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
 
 
+def _require(value, kind, what: str):
+    """``value`` if it is a ``kind`` (bools never count as numbers), else ValueError."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"{what}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     n_modes: int = 256
@@ -68,9 +75,7 @@ class SolverConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value, kind = getattr(self, f.name), _FIELD_TYPES[f.type]
-            if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+            _require(getattr(self, f.name), _FIELD_TYPES[f.type], f"{f.name} must be of type {f.type}")
         if self.n_modes < 16 or self.n_modes & (self.n_modes - 1):
             raise ValueError("n_modes must be a power of two, at least 16")
         if self.dt <= 0:
@@ -345,7 +350,7 @@ def fourier_series(n_modes: int, cos_amps: Mapping, sin_amps: Mapping) -> np.nda
 def _mask_from_level(level: Sequence[int], n_grassmann: int) -> int:
     mask = 0
     for index in level:
-        index = int(index)
+        _require(index, numbers.Integral, "a generator index must be an integer")
         if not 1 <= index <= n_grassmann:
             raise ValueError(f"generator index {index} outside 1..{n_grassmann}")
         if mask >> (index - 1) & 1:
@@ -354,24 +359,44 @@ def _mask_from_level(level: Sequence[int], n_grassmann: int) -> int:
     return mask
 
 
+def _check_amplitudes(table, where: str) -> None:
+    for k, amp in _require(table, Mapping, f"{where} must map wavenumbers to amplitudes").items():
+        try:
+            int(k)
+        except ValueError:
+            raise ValueError(f"{where} wavenumber {k!r} is not an integer") from None
+        if not math.isfinite(_require(amp, numbers.Real, f"{where}[{k!r}] must be a number")):
+            raise ValueError(f"{where}[{k!r}] must be finite, got {amp!r}")
+
+
 def initial_state(spec: Mapping, cfg: SolverConfig) -> GridState:
     """Build a GridState from the JSON initial-condition specification.
 
     ``spec`` maps "u" and "xi" to lists of ``{"level": [...], "cos": {...},
     "sin": {...}}`` entries; levels are 1-based generator index lists, even
-    cardinality for u, odd for xi.
+    cardinality for u, odd for xi.  Any other shape, key or a non-finite
+    amplitude raises ValueError.
     """
+    _require(spec, Mapping, "initial must be an object with 'u' and 'xi' lists")
+    unknown = sorted(set(spec) - {"u", "xi"})
+    if unknown:
+        raise ValueError(f"unknown initial key(s): {', '.join(unknown)}")
     state = GridState.zeros(cfg.n_modes, cfg.n_grassmann)
     for name, target, want_parity in (("u", state.u, 0), ("xi", state.xi, 1)):
-        for entry in spec.get(name, []):
-            mask = _mask_from_level(entry.get("level", []), cfg.n_grassmann)
+        entries = _require(spec.get(name, []), list, f"initial {name} must be a list of entries")
+        for entry in entries:
+            _require(entry, Mapping, f"each initial {name} entry must be an object")
+            unknown = sorted(set(entry) - {"level", "cos", "sin"})
+            if unknown:
+                raise ValueError(f"unknown key(s) in an initial {name} entry: {', '.join(unknown)}")
+            level = _require(entry.get("level", []), list, f"initial {name} level must be a list")
+            mask = _mask_from_level(level, cfg.n_grassmann)
             if mask.bit_count() % 2 != want_parity:
-                raise ValueError(
-                    f"{name} component on level {entry.get('level')} has the wrong parity"
-                )
-            target[mask_row(mask)] += fourier_series(
-                cfg.n_modes, entry.get("cos", {}), entry.get("sin", {})
-            )
+                raise ValueError(f"{name} component on level {level} has the wrong parity")
+            cos, sin = entry.get("cos", {}), entry.get("sin", {})
+            _check_amplitudes(cos, f"initial {name} cos")
+            _check_amplitudes(sin, f"initial {name} sin")
+            target[mask_row(mask)] += fourier_series(cfg.n_modes, cos, sin)
     return state
 
 

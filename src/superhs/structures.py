@@ -47,8 +47,10 @@ from .calculus import (
 )
 from .density import (
     Density,
+    _reduce_against,
     euler_xt,
     is_total_x_derivative,
+    partial_jet,
     variational_derivative,
     window_monomials,
 )
@@ -616,23 +618,12 @@ def lax_compatibility(ansatz: LaxAnsatz) -> Dict[str, SymExpr]:
         SUPER_G.jet(dtheta=1): "DG",
         SUPER_G.jet(dx=1): "Gx",
     }
-    residuals: Dict[str, SymExpr] = {name: SymExpr.zero() for name in basis.values()}
     for (lam, theta, factors), coeff in compat._terms.items():
-        g_positions = [i for i, f in enumerate(factors) if f.symbol == SUPER_G]
-        if len(g_positions) != 1 or factors[g_positions[0]] not in basis:
+        g_jets = [f for f in factors if f.symbol == SUPER_G]
+        if len(g_jets) != 1 or g_jets[0] not in basis:
             offender = SymExpr.monomial(coeff, factors, lam=lam, theta=theta)
             raise LaxBasisError(f"monomial outside reduction basis: {offender}")
-        i = g_positions[0]
-        jet = factors[i]
-        sign = 1
-        if jet.parity:
-            if sum(f.parity for f in factors[i + 1 :]) % 2:
-                sign = -1
-        remainder = SymExpr.monomial(
-            sign * coeff, factors[:i] + factors[i + 1 :], lam=lam, theta=theta
-        )
-        residuals[basis[jet]] = residuals[basis[jet]] + remainder
-    return residuals
+    return {name: partial_jet(compat, jet) for jet, name in basis.items()}
 
 
 def general_coefficient_equations() -> Dict[str, SymExpr]:
@@ -790,27 +781,27 @@ def _flux_certificate(target: SymExpr, rules: Mapping[JetFactor, SymExpr]) -> bo
 
     F is sought in a finite pool of candidate monomials (field content of the
     target with one x-derivative removed, one spill-over enlargement, plus the
-    quadratic velocity monomials); solved exactly.  A found certificate proves
-    that the integral vanishes; failure within the pool reports non-conservation.
+    quadratic velocity monomials); solved exactly by ``_reduce_against``.  A
+    found certificate proves that the integral vanishes; failure within the
+    pool reports non-conservation.
     """
+    images: Dict[Tuple[JetFactor, ...], SymExpr] = {}
 
-    def profile(factors) -> Tuple[Tuple[FieldSymbol, int], ...]:
-        return tuple((f.symbol, f.dt) for f in factors)
-
-    pool: Dict[Tuple[JetFactor, ...], SymExpr] = {}
+    def add_candidate(fs: Tuple[JetFactor, ...]) -> None:
+        if fs not in images:
+            images[fs] = substitute(dx(SymExpr.monomial(1, fs)), rules)
 
     def add_candidates(e: SymExpr) -> None:
         for (lam, theta, factors), _c in e._terms.items():
             if lam or theta:
                 raise ValueError("flux certificates expect lam- and theta-free input")
             total = sum(f.dx for f in factors)
-            if total == 0:
-                continue
-            for fs in window_monomials(list(profile(factors)), total - 1):
-                pool.setdefault(fs, SymExpr.monomial(1, fs))
+            if total:
+                for fs in window_monomials([(f.symbol, f.dt) for f in factors], total - 1):
+                    add_candidate(fs)
 
     add_candidates(target)
-    extras = [
+    for fs in [
         (P_VEL.jet(), P_VEL.jet()),
         (P_VEL.jet(), Q_VEL.jet()),
         (A_GAUGE.jet(), P_VEL.jet()),
@@ -819,64 +810,18 @@ def _flux_certificate(target: SymExpr, rules: Mapping[JetFactor, SymExpr]) -> bo
         (B_GAUGE.jet(), Q_VEL.jet()),
         (P_VEL.jet(),),
         (Q_VEL.jet(),),
-    ]
-    for fs in extras:
-        expr = SymExpr.monomial(1, fs)
-        if not expr.is_zero():
-            key = next(iter(expr._terms))[2]
-            pool.setdefault(key, expr)
-
-    images = {fs: substitute(dx(mono), rules) for fs, mono in pool.items()}
+    ]:
+        add_candidate(fs)
     spill = SymExpr.zero()
     for img in images.values():
         spill = spill + img
     add_candidates(spill)
-    images = {fs: substitute(dx(SymExpr.monomial(1, fs)), rules) for fs in pool}
 
-    # unknowns: pool coefficients plus one per droppable monomial in play
-    columns = list(images.items())
-    keys = set(target._terms)
-    for _fs, img in columns:
-        keys.update(img._terms)
-    droppable_keys = sorted((k for k in keys if _droppable(k)), key=str)
-
-    key_list = sorted(keys, key=str)
-    key_index = {k: i for i, k in enumerate(key_list)}
-    n_rows = len(key_list)
-    n_cols = len(columns) + len(droppable_keys)
-    rows: List[List[Fraction]] = [[Fraction(0)] * (n_cols + 1) for _ in range(n_rows)]
-    for j, (_fs, img) in enumerate(columns):
-        for k, c in img._terms.items():
-            rows[key_index[k]][j] = c
-    for j, k in enumerate(droppable_keys):
-        rows[key_index[k]][len(columns) + j] = Fraction(1)
-    for k, c in target._terms.items():
-        rows[key_index[k]][n_cols] = c
-
-    # Gaussian elimination; consistent system <=> certificate exists
-    pivot_row = 0
-    for col in range(n_cols):
-        sel = None
-        for r in range(pivot_row, n_rows):
-            if rows[r][col]:
-                sel = r
-                break
-        if sel is None:
-            continue
-        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        inv = Fraction(1) / rows[pivot_row][col]
-        rows[pivot_row] = [v * inv for v in rows[pivot_row]]
-        for r in range(n_rows):
-            if r != pivot_row and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-        if pivot_row == n_rows:
-            break
-    for r in range(n_rows):
-        if rows[r][n_cols] and all(v == 0 for v in rows[r][:n_cols]):
-            return False
-    return True
+    # generators: the pool images plus one unit vector per droppable monomial in play
+    keys = set(target._terms).union(*(img._terms for img in images.values()))
+    generators = [{k[2]: c for k, c in img._terms.items()} for img in images.values()]
+    generators += [{k[2]: Fraction(1)} for k in keys if _droppable(k)]
+    return not _reduce_against({k[2]: c for k, c in target._terms.items()}, generators)
 
 
 def conservation_check(density: Density, system: Optional[EvolutionSystem] = None) -> bool:

@@ -9,9 +9,11 @@ from superhs.algebra import (
     FieldSymbol,
     JetFactor,
     SymExpr,
+    _sort_factors,
     lam_power,
     theta_factor,
 )
+from superhs.calculus import dx, substitute, superD
 from superhs.grassmann import GrassmannElement
 from superhs.sexpr import SExprError, from_sexpr, to_sexpr
 
@@ -82,6 +84,32 @@ def test_canonical_form_stable_under_rebuild():
         for (lam, theta, factors), coeff in e.terms():
             rebuilt = rebuilt + SymExpr.monomial(coeff, factors, lam=lam, theta=theta)
         assert rebuilt == e
+
+
+def _assert_canonical(e):
+    for (lam, theta, factors), coeff in e._terms.items():
+        assert type(coeff) is Fraction and coeff != 0
+        assert _sort_factors(factors) == (1, factors)
+
+
+def test_stored_terms_are_canonical_and_nonzero_randomized():
+    rng = random.Random(21)
+    for _ in range(200):
+        a, b = random_expr(rng), random_expr(rng)
+        cancelled = [(a + b) - b, a * b - a * b, a - a, b + a - a - b]
+        assert cancelled[0] == a
+        assert all(e.is_zero() for e in cancelled[1:])
+        rule = {u.jet(dx=1): v() * v(dx=1) - u(), xi.jet(dx=1): phi() * v()}
+        for e in cancelled + [a * b, (a + b) * (a - b), dx(a * b), superD(a), substitute(a, rule)]:
+            _assert_canonical(e)
+    # raw constructors: unsorted factors, integer coefficients, terms that cancel
+    raw = [(2, 0, 0, (xi.jet(), phi.jet())), (2, 0, 0, (phi.jet(), xi.jet())),
+           (3, 1, 0, (v.jet(), u.jet())), (0, 0, 0, (u.jet(),))]
+    built = SymExpr.from_terms(raw)
+    _assert_canonical(built)
+    assert built == 3 * lam_power(1) * u() * v()
+    mapped = SymExpr({(0, 0, (xi.jet(), u.jet())): 1, (0, 0, (u.jet(), xi.jet())): -1})
+    assert mapped.is_zero()
 
 
 def test_jet_validation():

@@ -142,6 +142,30 @@ def test_simulate_rejects_bad_settings_exits_2(tmp_path, capsys, monkeypatch, ov
     assert "bad configuration" in err and message in err
 
 
+@pytest.mark.parametrize(
+    "initial, message",
+    [
+        ([1], "initial must be an object"),
+        ({"u": 5}, "initial u must be a list of entries"),
+        ({"u": [{"level": 3}]}, "initial u level must be a list"),
+        ({"u": [{"level": [], "cos": [1]}]}, "initial u cos must map wavenumbers to amplitudes"),
+        ({"u": [{"level": [], "cos": {"1": None}}]}, "initial u cos['1'] must be a number"),
+        ({"u": [{"level": [], "cos": {"1": float("nan")}}]}, "initial u cos['1'] must be finite"),
+        ({"u": [{"level": [], "cos": {"1": 1.0}}], "v": []}, "unknown initial key(s): v"),
+        ({"xi": [{"level": [1], "coss": {"1": 0.1}}]}, "in an initial xi entry: coss"),
+        ({"xi": [{"level": ["1"], "cos": {"1": 0.1}}]}, "a generator index must be an integer, got '1'"),
+        ({"u": [{"level": [], "sin": {"one": 1.0}}]}, "initial u sin wavenumber 'one'"),
+    ],
+    ids=["list", "u-number", "level-number", "cos-list", "amplitude-null", "amplitude-nan",
+         "unknown-field", "unknown-entry-key", "index-string", "wavenumber-word"],
+)
+def test_simulate_rejects_bad_initial_data_exits_2(tmp_path, capsys, initial, message):
+    cfg = write_config(tmp_path / "cfg.json", initial=initial)
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "bad configuration" in err and message in err
+
+
 def test_simulate_non_object_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "list.json"
     bad.write_text("[1, 2]")

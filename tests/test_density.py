@@ -9,6 +9,7 @@ from superhs.calculus import dx, superD
 from superhs.density import (
     Density,
     MeasureError,
+    _reduce_against,
     canonical_density,
     densities_equal,
     equals_mod_dx,
@@ -139,6 +140,61 @@ def test_spacetime_euler_operator():
     # action-like integrand: vary through both t- and x-jets
     sigma = u(dt=1) * u(dx=1)
     assert euler_xt(sigma, u) == -2 * u(dx=1, dt=1)
+
+
+def _dense_rank(rows, columns):
+    """Rank of sparse rows by dense Gaussian elimination over the rationals."""
+    mat = [[row.get(c, Fraction(0)) for c in columns] for row in rows]
+    rank = 0
+    for col in range(len(columns)):
+        sel = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if sel is None:
+            continue
+        mat[rank], mat[sel] = mat[sel], mat[rank]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                factor = mat[r][col] / mat[rank][col]
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+def test_reduce_against_decides_span_membership_randomized():
+    # columns are factor tuples, as in canonical_density and the flux certificates
+    columns = [(u.jet(dx=k),) for k in range(4)] + [
+        (u.jet(dx=i), v.jet(dx=j)) for i in range(2) for j in range(3)
+    ]
+    coeffs = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+    rng = random.Random(20)
+    outcomes = []
+    for _ in range(300):
+
+        def sparse_vector():
+            picks = rng.sample(columns, rng.randint(1, 3))
+            return {c: Fraction(rng.choice(coeffs)) for c in picks}
+
+        generators = [sparse_vector() for _ in range(rng.randint(0, 8))]
+        if generators and rng.random() < 0.5:
+            target = {}  # a combination of the generators: always in the span
+            for g in rng.sample(generators, rng.randint(1, len(generators))):
+                weight = rng.choice(coeffs)
+                for c, x in g.items():
+                    target[c] = target.get(c, 0) + weight * x
+            target = {c: x for c, x in target.items() if x}
+        else:
+            target = sparse_vector()
+        residual = _reduce_against(target, generators)
+        rank = _dense_rank(generators, columns)
+        in_span = rank == _dense_rank(generators + [target], columns)
+        assert (residual == {}) == in_span
+        assert all(x != 0 for x in residual.values())
+        # target - residual lies in the span
+        shifted = dict(target)
+        for c, x in residual.items():
+            shifted[c] = shifted.get(c, 0) - x
+        assert _dense_rank(generators + [shifted], columns) == rank
+        outcomes.append(in_span)
+    assert 50 < sum(outcomes) < 250
 
 
 def _spectral_dx(arr, order=1):
