@@ -36,14 +36,7 @@ from .density import (
     is_total_x_derivative,
     variational_derivative,
 )
-from .grassmann import (
-    GrassmannElement,
-    gadd,
-    gmul,
-    gsub,
-    parity_of,
-    scale,
-)
+from .grassmann import gmul
 from .numerics import (
     BlowUpError,
     GridState,

@@ -26,10 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
-from .grassmann import GrassmannElement, gadd, gmul
+import numpy as np
 
-EVEN = 0
-ODD = 1
+from .grassmann import EVEN, ODD, even_masks, gmul_stack, odd_masks
 
 ScalarLike = Union[int, Fraction]
 
@@ -254,17 +253,8 @@ class SymExpr:
                 return None
         return EVEN if result is None else result
 
-    def symbols(self) -> set:
-        return {f.symbol for key in self._terms for f in key[2]}
-
     def jet_factors(self) -> set:
         return {f for key in self._terms for f in key[2]}
-
-    def max_dx(self) -> int:
-        return max((f.dx for key in self._terms for f in key[2]), default=0)
-
-    def has_theta(self) -> bool:
-        return any(theta for (_, theta, _) in self._terms)
 
     def filter_terms(self, keep: Callable[[TermKey, Fraction], bool]) -> "SymExpr":
         return SymExpr(
@@ -332,28 +322,53 @@ class SymExpr:
     # -- numeric bridge ------------------------------------------------------
     def evaluate(
         self,
-        bindings: Mapping[JetFactor, Union[float, GrassmannElement]],
+        bindings: Mapping[JetFactor, Union[float, np.ndarray]],
         n_generators: int = 0,
-    ) -> GrassmannElement:
-        """Evaluate at a point: every jet bound to a Grassmann (or float) value.
+    ) -> np.ndarray:
+        """Evaluate with every jet bound to a level stack of ``Lambda_N``.
 
-        Theta, lam and superspace jets have no numeric meaning here and raise.
+        A jet's stack has one row per ``even_masks(N)``/``odd_masks(N)`` mask
+        of the jet's parity, and its trailing axes, if any, index points; an
+        even jet may instead be bound to a float, which is its body.  Returns
+        the stack of the expression's parity (the zero expression gives an
+        even zero stack), multiplied out with ``gmul_stack``.  A mixed-parity
+        expression, lam, theta, superspace jets and a stack with the wrong
+        row count raise.
         """
-        total = GrassmannElement.zero(n_generators)
+        parity = self.parity()
+        if parity is None:
+            raise ParityError("cannot evaluate a mixed-parity expression")
+        n_rows = (len(even_masks(n_generators)), len(odd_masks(n_generators)))
+        stacks = {}
+        for f in self.jet_factors():
+            if f.symbol.superspace:
+                raise ValueError(f"cannot evaluate superspace jet {f}")
+            if f not in bindings:
+                raise KeyError(f"no binding for jet {f}")
+            val = bindings[f]
+            if not isinstance(val, np.ndarray):
+                if f.parity:
+                    raise ValueError(f"odd jet {f} must be bound to a level stack")
+                val = np.zeros(n_rows[EVEN])
+                val[0] = float(bindings[f])
+            if val.shape[:1] != (n_rows[f.parity],):
+                raise ValueError(
+                    f"jet {f} needs {n_rows[f.parity]} rows at N = {n_generators}, "
+                    f"got shape {val.shape}"
+                )
+            stacks[f] = val
+        points = np.broadcast_shapes(*(v.shape[1:] for v in stacks.values()))
+        total = np.zeros((n_rows[parity],) + points)
         for (lam, theta, factors), coeff in self._terms.items():
             if lam or theta:
                 raise ValueError("cannot evaluate expressions containing lam or theta")
-            acc = GrassmannElement.scalar(float(coeff), n_generators)
+            acc = np.zeros((n_rows[EVEN],) + points)
+            acc[0] = float(coeff)
+            acc_parity = EVEN
             for f in factors:
-                if f.symbol.superspace:
-                    raise ValueError(f"cannot evaluate superspace jet {f}")
-                if f not in bindings:
-                    raise KeyError(f"no binding for jet {f}")
-                val = bindings[f]
-                if not isinstance(val, GrassmannElement):
-                    val = GrassmannElement.scalar(float(val), n_generators)
-                acc = gmul(acc, val)
-            total = gadd(total, acc)
+                acc = gmul_stack(acc, acc_parity, stacks[f], f.parity, n_generators)
+                acc_parity ^= f.parity
+            total += acc
         return total
 
     # -- display -------------------------------------------------------------

@@ -12,6 +12,7 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
+from .grassmann import even_masks
 from .numerics import (
     BlowUpError,
     evolve,
@@ -81,17 +82,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.all_passed() else EXIT_CHECK_FAILED
 
 
-def _drift_summary(traj, n_grassmann: int) -> dict:
+def _drift_summary(traj) -> dict:
+    """Per-level drift of H1 and H2: the body and every level nonzero in some sample."""
     out = {}
     for name in ("h1", "h2"):
-        series = [getattr(s, name) for s in traj.samples]
-        masks = sorted({m for g in series for m in g.coeffs} | {0})
-        for m in masks:
-            values = [g.coeffs.get(m, 0.0) for g in series]
+        for row, m in enumerate(even_masks(traj.final.n_grassmann)):
+            values = [float(getattr(s, name)[row]) for s in traj.samples]
+            if m and not any(values):
+                continue
             initial = values[0]
             drift = max(abs(v - initial) for v in values)
             scale = max(abs(initial), 1e-30)
-            out[f"{name.upper()}_{mask_label(m, n_grassmann)}"] = {
+            out[f"{name.upper()}_{mask_label(m)}"] = {
                 "initial": initial,
                 "max_abs_drift": drift,
                 "max_rel_drift": drift / scale,
@@ -117,11 +119,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         write_atomic(os.path.join(args.out_dir, "summary.json"), json.dumps(summary, indent=2))
         print(f"simulation aborted: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
-    write_series_csv(os.path.join(args.out_dir, "series.csv"), traj, cfg.n_grassmann)
-    write_state_csv(os.path.join(args.out_dir, "final_state.csv"), traj.final, cfg.n_grassmann)
+    write_series_csv(os.path.join(args.out_dir, "series.csv"), traj)
+    write_state_csv(os.path.join(args.out_dir, "final_state.csv"), traj.final)
     summary["status"] = "ok"
     summary["final_time"] = traj.final.time
-    summary["conservation"] = _drift_summary(traj, cfg.n_grassmann)
+    summary["conservation"] = _drift_summary(traj)
     summary["max_abs_ux"] = max(s.max_abs_ux for s in traj.samples)
     if len(traj.states) >= 3:
         summary["residual_check"] = residual_check(traj)

@@ -227,29 +227,39 @@ def _reduce_against(
     target: Dict[Tuple[JetFactor, ...], Fraction],
     generators: List[Dict[Tuple[JetFactor, ...], Fraction]],
 ) -> Dict[Tuple[JetFactor, ...], Fraction]:
-    """Reduce a coefficient vector modulo the span of the generators."""
+    """Reduce a coefficient vector modulo the span of the generators.
+
+    Each column's pivot is the first unused row, in generator order, with a
+    nonzero entry there; that row is eliminated from every other unused row.
+    """
     pivots: Dict[Tuple[JetFactor, ...], Dict[Tuple[JetFactor, ...], Fraction]] = {}
     rows = [dict(g) for g in generators if g]
-    columns = sorted(
-        {c for g in rows for c in g} | set(target),
-        key=lambda fs: _elimination_key(fs),
-        reverse=True,
-    )
+    # column -> indices of the unused rows with a nonzero entry in it, so a
+    # column costs the rows that hold it, not a scan of every row
+    holders: Dict[Tuple[JetFactor, ...], set] = {}
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            if v:
+                holders.setdefault(c, set()).add(i)
+    columns = sorted(set(holders) | set(target), key=_elimination_key, reverse=True)
     for col in columns:
-        pivot_row = None
-        for row in rows:
-            if row.get(col):
-                pivot_row = row
-                break
-        if pivot_row is None:
+        if not holders.get(col):
             continue
-        rows.remove(pivot_row)
+        pivot = min(holders[col])
+        pivot_row = rows[pivot]
+        for c in pivot_row:
+            holders.get(c, set()).discard(pivot)
         inv = Fraction(1) / pivot_row[col]
         pivot_row = {c: v * inv for c, v in pivot_row.items()}
-        for row in rows:
-            factor = row.get(col)
-            if factor:
-                _accumulate(((c, -factor * v) for c, v in pivot_row.items()), row)
+        for i in list(holders[col]):
+            row = rows[i]
+            factor = row[col]
+            _accumulate(((c, -factor * v) for c, v in pivot_row.items()), row)
+            for c in pivot_row:
+                if row.get(c):
+                    holders.setdefault(c, set()).add(i)
+                else:
+                    holders.get(c, set()).discard(i)
         pivots[col] = pivot_row
     vec = dict(target)
     for col in columns:

@@ -1,14 +1,17 @@
-"""Finite-dimensional Grassmann algebra over the reals.
+"""Level stacks: homogeneous values in the finite Grassmann algebra Lambda_N.
 
-A ``GrassmannElement`` of ``Lambda_N`` is a linear combination of products of
-anticommuting generators ``eta_1 .. eta_N``.  Each product is identified by the
-set of generator indices it contains, encoded as a bitmask (bit ``i-1`` set
-means ``eta_i`` is present), so nilpotency and the reordering sign reduce to
-bit arithmetic.  Coefficients are doubles; the exact symbolic side of the
-package never touches this module.
+An element of ``Lambda_N`` is a real combination of products of the
+anticommuting generators ``eta_1 .. eta_N``.  Each product is identified by
+the set of generator indices it contains, encoded as a bitmask (bit ``i-1``
+set means ``eta_i`` is present), so nilpotency and the reordering sign reduce
+to bit arithmetic.
 
-The numeric solver stores a homogeneous field as a level stack: an array with
-one row per mask of one parity, in ``even_masks``/``odd_masks`` order.
+A homogeneous value is held as a level stack: an array whose first axis has
+one row per mask of its parity, in ``even_masks(N)``/``odd_masks(N)`` order
+(``mask_row`` gives a mask's row), and whose trailing axes, if any, index
+points.  ``gmul_stack`` multiplies two stacks; the numeric solver and
+``SymExpr.evaluate`` use it and no other product.  ``gmul`` multiplies one
+point at a time and serves the tests as a reference.
 """
 from __future__ import annotations
 
@@ -19,11 +22,6 @@ import numpy as np
 
 EVEN = 0
 ODD = 1
-MIXED = "mixed"
-
-
-class GrassmannError(ValueError):
-    """Raised for operations between incompatible Grassmann algebras."""
 
 
 def merge_sign(mask_a: int, mask_b: int) -> int:
@@ -86,132 +84,19 @@ def gmul_stack(
     return out
 
 
-class GrassmannElement:
-    """Immutable element of Lambda_N with real coefficients."""
+def gmul(a: Mapping[int, float], b: Mapping[int, float]) -> Dict[int, float]:
+    """Product of two ``{mask: coeff}`` elements at one point, mask by mask.
 
-    __slots__ = ("n_generators", "coeffs")
-
-    def __init__(self, n_generators: int, coeffs: Mapping[int, float] | None = None):
-        if n_generators < 0 or n_generators > 64:
-            raise GrassmannError(f"need 0 <= N <= 64, got {n_generators}")
-        cleaned: Dict[int, float] = {}
-        if coeffs:
-            top = 1 << n_generators
-            for mask, c in coeffs.items():
-                if not 0 <= mask < top:
-                    raise GrassmannError(f"mask {mask:#x} outside Lambda_{n_generators}")
-                c = float(c)
-                if c != 0.0:
-                    cleaned[mask] = c
-        object.__setattr__(self, "n_generators", n_generators)
-        object.__setattr__(self, "coeffs", cleaned)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("GrassmannElement is immutable")
-
-    # -- constructors ------------------------------------------------------
-    @staticmethod
-    def scalar(value: float, n_generators: int) -> "GrassmannElement":
-        return GrassmannElement(n_generators, {0: value})
-
-    @staticmethod
-    def generator(index: int, n_generators: int) -> "GrassmannElement":
-        """eta_index, 1-based."""
-        if not 1 <= index <= n_generators:
-            raise GrassmannError(f"generator index {index} outside 1..{n_generators}")
-        return GrassmannElement(n_generators, {1 << (index - 1): 1.0})
-
-    @staticmethod
-    def zero(n_generators: int) -> "GrassmannElement":
-        return GrassmannElement(n_generators, {})
-
-    # -- queries -----------------------------------------------------------
-    def body(self) -> float:
-        """Coefficient of the empty product (the scalar part)."""
-        return self.coeffs.get(0, 0.0)
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(c) <= tol for c in self.coeffs.values())
-
-    def max_abs(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GrassmannElement)
-            and self.n_generators == other.n_generators
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.n_generators, frozenset(self.coeffs.items())))
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for mask in sorted(self.coeffs):
-            c = self.coeffs[mask]
-            gens = "".join(f"e{i + 1}" for i in range(self.n_generators) if mask >> i & 1)
-            parts.append(f"{c:g}" if not gens else f"{c:g}*{gens}")
-        return " + ".join(parts)
-
-
-def _check_same_algebra(a: GrassmannElement, b: GrassmannElement) -> None:
-    if a.n_generators != b.n_generators:
-        raise GrassmannError(
-            f"incompatible algebras Lambda_{a.n_generators} and Lambda_{b.n_generators}"
-        )
-
-
-def gadd(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
-    _check_same_algebra(a, b)
-    out = dict(a.coeffs)
-    for mask, c in b.coeffs.items():
-        out[mask] = out.get(mask, 0.0) + c
-    return GrassmannElement(a.n_generators, out)
-
-
-def scale(factor: float, a: GrassmannElement) -> GrassmannElement:
-    return GrassmannElement(a.n_generators, {m: factor * c for m, c in a.coeffs.items()})
-
-
-def gsub(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
-    return gadd(a, scale(-1.0, b))
-
-
-def gmul(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
-    """Bilinear product; overlapping generator sets vanish by nilpotency."""
-    _check_same_algebra(a, b)
+    The package multiplies with ``gmul_stack``; this loop is the independent
+    reference the tests compare it against.
+    """
     out: Dict[int, float] = {}
-    for ma, ca in a.coeffs.items():
-        for mb, cb in b.coeffs.items():
+    for ma, ca in a.items():
+        for mb, cb in b.items():
             sign = merge_sign(ma, mb)
             if sign:
-                mask = ma | mb
-                out[mask] = out.get(mask, 0.0) + sign * ca * cb
-    return GrassmannElement(a.n_generators, out)
-
-
-def parity_of(a: GrassmannElement):
-    """EVEN/ODD for homogeneous elements, MIXED otherwise.
-
-    The zero element is reported EVEN.
-    """
-    seen_even = False
-    seen_odd = False
-    for mask, c in a.coeffs.items():
-        if c == 0.0:
-            continue
-        if mask.bit_count() % 2:
-            seen_odd = True
-        else:
-            seen_even = True
-    if seen_even and seen_odd:
-        return MIXED
-    if seen_odd:
-        return ODD
-    return EVEN
+                out[ma | mb] = out.get(ma | mb, 0.0) + sign * ca * cb
+    return out
 
 
 def even_masks(n_generators: int) -> Iterable[int]:

@@ -28,19 +28,14 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .grassmann import (
-    EVEN,
-    ODD,
-    GrassmannElement,
-    even_masks,
-    gmul_stack,
-    mask_row,
-    odd_masks,
-)
+from .grassmann import EVEN, ODD, even_masks, gmul_stack, mask_row, odd_masks
 
 TWO_PI = 2.0 * np.pi
 # rows per field stack grow as 2**(N-1) and product pairs as 3**N
 MAX_GRASSMANN = 8
+# evolve keeps every sampled state: each holds 2**N rows of n_modes doubles
+MAX_STEPS = 10**7
+MAX_TRAJECTORY_BYTES = 2**30
 
 
 class BlowUpError(RuntimeError):
@@ -91,6 +86,17 @@ class SolverConfig:
             raise ValueError(f"unknown gauge {self.gauge!r}")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
+        n_steps = round(ratio)
+        if n_steps > MAX_STEPS:
+            raise ValueError(f"t_end / dt is {n_steps} steps, above the limit of {MAX_STEPS}")
+        # the initial state, every sample_stride-th step and the final step
+        stored = 1 + -(-n_steps // self.sample_stride)
+        state_bytes = stored * 2**self.n_grassmann * self.n_modes * 8
+        if state_bytes > MAX_TRAJECTORY_BYTES:
+            raise ValueError(
+                f"the stored trajectory would take {state_bytes} bytes, "
+                f"above the limit of {MAX_TRAJECTORY_BYTES}"
+            )
 
     @staticmethod
     def from_dict(data: Mapping) -> "SolverConfig":
@@ -232,13 +238,15 @@ def step(state: GridState, cfg: SolverConfig) -> GridState:
     return new
 
 
-def conserved_quantities(state: GridState, n_grassmann: int) -> Tuple[GrassmannElement, GrassmannElement]:
-    """Spectral quadrature of the two invariants as Grassmann numbers.
+def conserved_quantities(state: GridState) -> Tuple[np.ndarray, np.ndarray]:
+    """Spectral quadrature of the two invariants as even level stacks.
 
     H1 = (1/2) integral (u_x**2 + xi_xx xi_x) dx
     H2 = (1/2) integral (u u_x**2 - u xi_x xi_xx) dx
+
+    Each is an ``(n_even,)`` array, one entry per ``even_masks(N)`` level.
     """
-    n = n_grassmann
+    n = state.n_grassmann
     u_x = spectral_dx(state.u)
     xi_x, xi_xx = _derivatives(state.xi, (1, 2))
     ux2 = gmul_stack(u_x, EVEN, u_x, EVEN, n)
@@ -246,17 +254,15 @@ def conserved_quantities(state: GridState, n_grassmann: int) -> Tuple[GrassmannE
     h2_density = gmul_stack(state.u, EVEN, ux2, EVEN, n) - gmul_stack(
         state.u, EVEN, gmul_stack(xi_x, ODD, xi_xx, ODD, n), EVEN, n
     )
-    return tuple(
-        GrassmannElement(n, dict(zip(even_masks(n), 0.5 * density.mean(axis=-1) * TWO_PI)))
-        for density in (h1_density, h2_density)
-    )
+    # adding 0.0 turns a -0.0 into 0.0, so a level that vanishes always prints as 0
+    return tuple(0.5 * density.mean(axis=-1) * TWO_PI + 0.0 for density in (h1_density, h2_density))
 
 
 @dataclass
 class ConservedSample:
     time: float
-    h1: GrassmannElement
-    h2: GrassmannElement
+    h1: np.ndarray
+    h2: np.ndarray
     max_abs_ux: float
 
 
@@ -264,7 +270,6 @@ class ConservedSample:
 class Trajectory:
     states: List[GridState] = field(default_factory=list)
     samples: List[ConservedSample] = field(default_factory=list)
-    sample_dt: float = 0.0
 
     @property
     def final(self) -> GridState:
@@ -274,10 +279,10 @@ class Trajectory:
 def evolve(state0: GridState, cfg: SolverConfig) -> Trajectory:
     """Advance to t_end, storing states and invariants every sample_stride steps."""
     n_steps = int(round(cfg.t_end / cfg.dt))
-    traj = Trajectory(sample_dt=cfg.dt * cfg.sample_stride)
+    traj = Trajectory()
 
     def record(s: GridState) -> None:
-        h1, h2 = conserved_quantities(s, cfg.n_grassmann)
+        h1, h2 = conserved_quantities(s)
         traj.states.append(s.copy())
         traj.samples.append(ConservedSample(s.time, h1, h2, s.max_abs_ux()))
 
@@ -409,35 +414,35 @@ def load_config(path: str) -> Tuple[SolverConfig, Mapping]:
     return SolverConfig.from_dict(settings), data.get("initial", {})
 
 
-def mask_label(mask: int, n_grassmann: int) -> str:
+def mask_label(mask: int) -> str:
     if mask == 0:
         return "body"
-    return "".join(str(i + 1) for i in range(n_grassmann) if mask >> i & 1)
+    return "".join(str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def write_series_csv(path: str, traj: Trajectory, n_grassmann: int) -> None:
+def write_series_csv(path: str, traj: Trajectory) -> None:
     """time, per-level H1 and H2, and max|u_x| for every stored sample."""
-    e_masks = list(even_masks(n_grassmann))
+    e_masks = even_masks(traj.final.n_grassmann)
     header = ["time"]
-    header += [f"H1_{mask_label(m, n_grassmann)}" for m in e_masks]
-    header += [f"H2_{mask_label(m, n_grassmann)}" for m in e_masks]
+    header += [f"H1_{mask_label(m)}" for m in e_masks]
+    header += [f"H2_{mask_label(m)}" for m in e_masks]
     header.append("max_abs_ux")
     lines = [",".join(header)]
     for sample in traj.samples:
         row = [f"{sample.time:.12g}"]
-        row += [f"{sample.h1.coeffs.get(m, 0.0):.16e}" for m in e_masks]
-        row += [f"{sample.h2.coeffs.get(m, 0.0):.16e}" for m in e_masks]
+        row += [f"{v:.16e}" for v in sample.h1.tolist()]
+        row += [f"{v:.16e}" for v in sample.h2.tolist()]
         row.append(f"{sample.max_abs_ux:.16e}")
         lines.append(",".join(row))
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")
 
 
-def write_state_csv(path: str, state: GridState, n_grassmann: int) -> None:
+def write_state_csv(path: str, state: GridState) -> None:
     """x followed by every stored level of u and xi."""
     header = ["x"]
-    header += [f"u_{mask_label(m, n_grassmann)}" for m in even_masks(n_grassmann)]
-    header += [f"xi_{mask_label(m, n_grassmann)}" for m in odd_masks(n_grassmann)]
+    header += [f"u_{mask_label(m)}" for m in even_masks(state.n_grassmann)]
+    header += [f"xi_{mask_label(m)}" for m in odd_masks(state.n_grassmann)]
     columns = np.vstack([grid(state.n_modes), state.u, state.xi])
     lines = [",".join(header)]
     lines += [",".join(f"{v:.16e}" for v in row.tolist()) for row in columns.T]

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from superhs.algebra import (
@@ -8,13 +9,13 @@ from superhs.algebra import (
     ODD,
     FieldSymbol,
     JetFactor,
+    ParityError,
     SymExpr,
     _sort_factors,
     lam_power,
     theta_factor,
 )
 from superhs.calculus import dx, substitute, superD
-from superhs.grassmann import GrassmannElement
 from superhs.sexpr import SExprError, from_sexpr, to_sexpr
 
 from helpers import random_expr, random_homogeneous
@@ -131,17 +132,32 @@ def test_coefficient_lookup():
 
 
 def test_evaluate_grassmann():
+    # at N = 2 odd stacks have rows (e1, e2) and even ones (body, e1e2)
     e = u() * xi(dx=1)
     n = 2
-    eta1 = GrassmannElement.generator(1, n)
-    bindings = {u.jet(): 2.0, xi.jet(dx=1): eta1}
-    out = e.evaluate(bindings, n)
-    assert out == GrassmannElement(n, {0b01: 2.0})
+    eta1, eta2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    out = e.evaluate({u.jet(): 2.0, xi.jet(dx=1): eta1}, n)
+    assert out.tolist() == [2.0, 0.0]
     # odd factors anticommute through evaluation
     e2 = xi() * xi(dx=1)
-    eta2 = GrassmannElement.generator(2, n)
-    out2 = e2.evaluate({xi.jet(): eta1, xi.jet(dx=1): eta2}, n)
-    assert out2 == GrassmannElement(n, {0b11: 1.0})
+    assert e2.evaluate({xi.jet(): eta1, xi.jet(dx=1): eta2}, n).tolist() == [0.0, 1.0]
+    assert e2.evaluate({xi.jet(): eta2, xi.jet(dx=1): eta1}, n).tolist() == [0.0, -1.0]
+
+
+def test_evaluate_stacks_at_points_and_rejections():
+    n = 2
+    even = np.array([[1.0, 2.0, 3.0], [0.5, 0.0, -1.0]])  # three points
+    odd = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]])
+    # (b + s e1e2)(x1 e1 + x2 e2) = b x1 e1 + b x2 e2, since e1e2 e_i = 0
+    out = (u() * xi()).evaluate({u.jet(): even, xi.jet(): odd}, n)
+    assert out.tolist() == [[1.0, 0.0, 6.0], [0.0, 2.0, 3.0]]
+    assert SymExpr.zero().evaluate({}, n).tolist() == [0.0, 0.0]
+    with pytest.raises(ParityError):
+        (u() + xi()).evaluate({u.jet(): 1.0, xi.jet(): odd}, n)
+    with pytest.raises(ValueError, match="must be bound to a level stack"):
+        xi().evaluate({xi.jet(): 1.0}, n)
+    with pytest.raises(ValueError, match="needs 2 rows"):
+        u().evaluate({u.jet(): np.zeros((4, 3))}, n)
 
 
 def test_evaluate_rejects_lam_theta():

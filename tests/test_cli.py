@@ -80,6 +80,8 @@ def test_simulate_zero_data(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["status"] == "ok"
+    # the body is always listed, a level only when it is nonzero in some sample
+    assert set(summary["conservation"]) == {"H1_body", "H2_body"}
     for record in summary["conservation"].values():
         assert record["max_abs_drift"] == 0.0
     assert (out_dir / "series.csv").exists()
@@ -92,6 +94,7 @@ def test_simulate_records_conservation(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["status"] == "ok"
+    assert set(summary["conservation"]) == {"H1_body", "H1_12", "H2_body", "H2_12"}
     assert summary["conservation"]["H1_body"]["max_rel_drift"] < 1e-8
     assert "residual_check" in summary
 
@@ -127,9 +130,11 @@ def test_simulate_malformed_config_exits_2(tmp_path, capsys):
         ({"sample_stride": 1.5}, "sample_stride must be of type int"),
         ({"dt": 0.01, "t_end": 0.025}, "is not a whole number of steps"),
         ({"n_grassmann": 30}, "n_grassmann must be in 0..8"),
+        ({"n_modes": 2**40}, "the stored trajectory would take"),
+        ({"dt": 1e-3, "t_end": 1e5}, "t_end / dt is 100000000 steps, above the limit"),
     ],
     ids=["unknown-key", "dealias-string", "n_modes-float", "n_grassmann-float",
-         "stride-float", "t_end-off-grid", "n_grassmann-cap"],
+         "stride-float", "t_end-off-grid", "n_grassmann-cap", "trajectory-bytes", "step-count"],
 )
 def test_simulate_rejects_bad_settings_exits_2(tmp_path, capsys, monkeypatch, overrides, message):
     def no_state(*_args):

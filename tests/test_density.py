@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from superhs.algebra import EVEN, ODD, FieldSymbol, SymExpr, theta_factor
+from superhs import density
 from superhs.calculus import dx, superD
 from superhs.density import (
     Density,
     MeasureError,
+    _elimination_key,
     _reduce_against,
     canonical_density,
     densities_equal,
@@ -20,7 +22,7 @@ from superhs.density import (
     variational_derivative,
 )
 
-from helpers import random_x_poly
+from helpers import random_expr, random_x_poly
 
 u = FieldSymbol("u", EVEN)
 v = FieldSymbol("v", EVEN)
@@ -195,6 +197,56 @@ def test_reduce_against_decides_span_membership_randomized():
         assert _dense_rank(generators + [shifted], columns) == rank
         outcomes.append(in_span)
     assert 50 < sum(outcomes) < 250
+
+
+def _scan_reduce(target, generators):
+    """Reference for ``_reduce_against``: each column scans every row for its pivot."""
+    columns = sorted(
+        {c for g in generators for c in g} | set(target), key=_elimination_key, reverse=True
+    )
+    label = {c: i for i, c in enumerate(columns)}  # small ints hash fast
+    rows = [{label[c]: x for c, x in g.items()} for g in generators if g]
+
+    def subtract(vec, factor, row):
+        for c, x in row.items():
+            vec[c] = vec.get(c, 0) - factor * x
+            if not vec[c]:
+                del vec[c]
+
+    pivots = {}
+    for col in range(len(columns)):
+        pivot_row = next((row for row in rows if row.get(col)), None)
+        if pivot_row is None:
+            continue
+        rows.remove(pivot_row)
+        pivots[col] = {c: x / pivot_row[col] for c, x in pivot_row.items()}
+        for row in rows:
+            if row.get(col):
+                subtract(row, row[col], pivots[col])
+    vec = {label[c]: x for c, x in target.items()}
+    for col in range(len(columns)):
+        if vec.get(col) and col in pivots:
+            subtract(vec, vec[col], pivots[col])
+    return {columns[c]: x for c, x in vec.items()}
+
+
+def test_reduce_against_matches_scanning_reference_in_canonical_density(monkeypatch):
+    # every elimination canonical_density runs on random products, seeds 1-60:
+    # the same residual, in the same key order, as the row-scanning loop
+    systems = []
+
+    def checked(target, generators):
+        residual = _reduce_against(target, generators)
+        assert list(residual.items()) == list(_scan_reduce(target, generators).items())
+        systems.append(len(generators))
+        return residual
+
+    monkeypatch.setattr(density, "_reduce_against", checked)
+    for seed in range(1, 61):
+        rng = random.Random(seed)
+        a, b = random_expr(rng), random_expr(rng)
+        canonical_density(a * b)
+    assert len(systems) > 60 and max(systems) > 1000
 
 
 def _spectral_dx(arr, order=1):

@@ -5,68 +5,43 @@ import pytest
 
 from superhs.grassmann import (
     EVEN,
-    MIXED,
     ODD,
-    GrassmannElement,
-    GrassmannError,
     even_masks,
-    gadd,
     gmul,
     gmul_stack,
-    gsub,
     mask_row,
     merge_sign,
     odd_masks,
-    parity_of,
-    scale,
 )
 
 
 def eta(i, n=2):
-    return GrassmannElement.generator(i, n)
+    """The generator eta_i as an odd stack at one point."""
+    stack = np.zeros((len(odd_masks(n)), 1))
+    stack[mask_row(1 << (i - 1))] = 1.0
+    return stack
 
 
 def test_generators_anticommute():
     e1, e2 = eta(1), eta(2)
-    assert gmul(e1, e2) == GrassmannElement(2, {0b11: 1.0})
-    assert gmul(e2, e1) == GrassmannElement(2, {0b11: -1.0})
+    assert gmul_stack(e1, ODD, e2, ODD, 2).tolist() == [[0.0], [1.0]]  # rows body, e1e2
+    assert gmul_stack(e2, ODD, e1, ODD, 2).tolist() == [[0.0], [-1.0]]
 
 
 def test_generators_nilpotent():
-    assert gmul(eta(1), eta(1)).is_zero()
+    assert not gmul_stack(eta(1), ODD, eta(1), ODD, 2).any()
 
 
 def test_even_element_squares():
-    one = GrassmannElement.scalar(1.0, 2)
-    x = gadd(one, gmul(eta(1), eta(2)))  # 1 + e1 e2
-    sq = gmul(x, x)
-    assert sq == GrassmannElement(2, {0: 1.0, 0b11: 2.0})
-
-
-def test_addition_and_scaling():
-    assert gadd(eta(1), eta(1)) == GrassmannElement(2, {0b01: 2.0})
-    assert scale(0.0, gadd(eta(1), eta(2))).is_zero()
-    lhs = gadd(GrassmannElement(2, {0: 1.0, 0b01: 1.0}), GrassmannElement(2, {0: -1.0, 0b10: 1.0}))
-    assert lhs == GrassmannElement(2, {0b01: 1.0, 0b10: 1.0})
-
-
-def test_parity_classification():
-    assert parity_of(gmul(eta(1), eta(2))) == EVEN
-    assert parity_of(eta(1)) == ODD
-    assert parity_of(gadd(GrassmannElement.scalar(1.0, 2), eta(1))) == MIXED
-    assert parity_of(GrassmannElement.zero(2)) == EVEN
-
-
-def test_mismatched_algebras_rejected():
-    with pytest.raises(GrassmannError):
-        gmul(GrassmannElement.scalar(1.0, 2), GrassmannElement.scalar(1.0, 3))
-    with pytest.raises(GrassmannError):
-        gadd(GrassmannElement.scalar(1.0, 1), GrassmannElement.scalar(1.0, 4))
+    x = np.array([[1.0], [1.0]])  # 1 + e1 e2
+    assert gmul_stack(x, EVEN, x, EVEN, 2).tolist() == [[1.0], [2.0]]
 
 
 def test_body_and_masks():
-    x = GrassmannElement(3, {0: 2.5, 0b101: 1.0})
-    assert x.body() == 2.5
+    # the body is row 0 of an even stack; rows follow the mask lists
+    assert mask_row(0) == 0
+    assert [mask_row(m) for m in even_masks(3)] == [0, 1, 2, 3]
+    assert even_masks(3).index(0b101) == mask_row(0b101)
     assert set(even_masks(2)) == {0, 0b11}
     assert set(odd_masks(2)) == {0b01, 0b10}
 
@@ -79,22 +54,34 @@ def test_merge_sign_examples():
 
 
 def _random_element(rng, n, parity=None):
+    """(even stack, odd stack) at one point of a random element of Lambda_n."""
     masks = list(range(1 << n))
     if parity is not None:
         masks = [m for m in masks if m.bit_count() % 2 == parity]
-    coeffs = {m: rng.choice([-2.0, -1.0, 1.0, 3.0]) for m in rng.sample(masks, k=min(3, len(masks)))}
-    return GrassmannElement(n, coeffs)
+    stacks = (np.zeros((len(even_masks(n)), 1)), np.zeros((len(odd_masks(n)), 1)))
+    for m in rng.sample(masks, k=min(3, len(masks))):
+        stacks[m.bit_count() % 2][mask_row(m)] = rng.choice([-2.0, -1.0, 1.0, 3.0])
+    return stacks
+
+
+def _mul(a, b, n):
+    """Product of two (even, odd) stack pairs, one gmul_stack per parity pair."""
+    out = [np.zeros_like(a[EVEN]), np.zeros_like(a[ODD])]
+    for pa in (EVEN, ODD):
+        for pb in (EVEN, ODD):
+            out[pa ^ pb] += gmul_stack(a[pa], pa, b[pb], pb, n)
+    return out
 
 
 def test_graded_commutativity_randomized():
     rng = random.Random(7)
     for _ in range(100):
         pa, pb = rng.randint(0, 1), rng.randint(0, 1)
-        a = _random_element(rng, 4, pa)
-        b = _random_element(rng, 4, pb)
-        lhs = gmul(a, b)
-        rhs = scale((-1.0) ** (pa * pb), gmul(b, a))
-        assert gsub(lhs, rhs).is_zero()
+        a = _random_element(rng, 4, pa)[pa]
+        b = _random_element(rng, 4, pb)[pb]
+        lhs = gmul_stack(a, pa, b, pb, 4)
+        rhs = (-1.0) ** (pa * pb) * gmul_stack(b, pb, a, pa, 4)
+        assert np.array_equal(lhs, rhs)
 
 
 def test_associativity_randomized():
@@ -103,14 +90,15 @@ def test_associativity_randomized():
         a = _random_element(rng, 4)
         b = _random_element(rng, 4)
         c = _random_element(rng, 4)
-        assert gsub(gmul(gmul(a, b), c), gmul(a, gmul(b, c))).is_zero()
+        for lhs, rhs in zip(_mul(_mul(a, b, 4), c, 4), _mul(a, _mul(b, c, 4), 4)):
+            assert np.array_equal(lhs, rhs)
 
 
 def test_odd_squares_vanish_randomized():
     rng = random.Random(13)
     for _ in range(50):
-        a = _random_element(rng, 5, ODD)
-        assert gmul(a, a).is_zero()
+        a = _random_element(rng, 5, ODD)[ODD]
+        assert not gmul_stack(a, ODD, a, ODD, 5).any()
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -127,9 +115,7 @@ def test_gmul_stack_matches_gmul(n, parity_a, parity_b):
     assert out.shape == (len(out_masks), points)
     assert [mask_row(m) for m in out_masks] == list(range(len(out_masks)))
     for j in range(points):
-        ga = GrassmannElement(n, dict(zip(masks[parity_a], a[:, j])))
-        gb = GrassmannElement(n, dict(zip(masks[parity_b], b[:, j])))
-        expected = gmul(ga, gb)
-        assert set(expected.coeffs) <= set(out_masks)
+        expected = gmul(dict(zip(masks[parity_a], a[:, j])), dict(zip(masks[parity_b], b[:, j])))
+        assert set(expected) <= set(out_masks)
         for row, mask in enumerate(out_masks):
-            assert abs(out[row, j] - expected.coeffs.get(mask, 0.0)) <= 1e-14
+            assert abs(out[row, j] - expected.get(mask, 0.0)) <= 1e-14

@@ -3,17 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from superhs.grassmann import (
-    ODD,
-    GrassmannElement,
-    even_masks,
-    gadd,
-    gmul,
-    gmul_stack,
-    mask_row,
-    odd_masks,
-    scale,
-)
+from superhs.grassmann import ODD, even_masks, gmul, gmul_stack, mask_row, odd_masks
 from superhs.numerics import (
     BlowUpError,
     GridState,
@@ -234,31 +224,35 @@ def test_rhs_matches_independent_component_oracle():
 
 
 def _pointwise_rhs(state, n_gen, dealias):
-    """Reference right-hand side: one GrassmannElement per grid point and gmul."""
+    """Reference right-hand side: one {mask: coeff} element per grid point and gmul."""
     n = state.n_modes
     e_masks, o_masks = even_masks(n_gen), odd_masks(n_gen)
 
     def elements(levels, masks, order):
         rows = [spectral_dx(row, order) if order else row for row in levels]
-        return [GrassmannElement(n_gen, {m: r[j] for m, r in zip(masks, rows)}) for j in range(n)]
+        return [{m: r[j] for m, r in zip(masks, rows)} for j in range(n)]
+
+    def combine(*terms):
+        out = {}
+        for weight, element in terms:
+            for m, c in element.items():
+                out[m] = out.get(m, 0.0) + weight * c
+        return out
 
     u = elements(state.u, e_masks, 0)
     u_x, u_xx = (elements(state.u, e_masks, k) for k in (1, 2))
     xi_x, xi_xx = (elements(state.xi, o_masks, k) for k in (1, 2))
     w = [
-        scale(-1.0, gadd(gadd(gmul(u[j], u_xx[j]), scale(0.5, gmul(u_x[j], u_x[j]))),
-                         scale(0.5, gmul(xi_x[j], xi_xx[j]))))
+        combine((-1.0, gmul(u[j], u_xx[j])), (-0.5, gmul(u_x[j], u_x[j])),
+                (-0.5, gmul(xi_x[j], xi_xx[j])))
         for j in range(n)
     ]
-    v = [
-        scale(-1.0, gadd(gmul(u[j], xi_xx[j]), scale(0.5, gmul(u_x[j], xi_x[j]))))
-        for j in range(n)
-    ]
+    v = [combine((-1.0, gmul(u[j], xi_xx[j])), (-0.5, gmul(u_x[j], xi_x[j]))) for j in range(n)]
 
     def integrate(values, masks):
         out = []
         for m in masks:
-            level = np.array([g.coeffs.get(m, 0.0) for g in values])
+            level = np.array([g.get(m, 0.0) for g in values])
             if dealias:
                 level = dealias_23(level)
             out.append(spectral_antiderivative(level - level.mean()))
@@ -328,12 +322,11 @@ def test_top_level_gets_excited():
 
 def test_conserved_quantities_structure():
     state = fermionic_state(128)
-    h1, h2 = conserved_quantities(state, 2)
-    assert abs(h1.body() - np.pi / 2) < 1e-12
-    assert abs(h1.coeffs.get(0b11, 0.0) + 0.01 * np.pi) < 1e-12
-    # no odd levels can appear in either invariant
-    assert all(m.bit_count() % 2 == 0 for m in h1.coeffs)
-    assert all(m.bit_count() % 2 == 0 for m in h2.coeffs)
+    h1, h2 = conserved_quantities(state)
+    assert abs(h1[0] - np.pi / 2) < 1e-12
+    assert abs(h1[mask_row(0b11)] + 0.01 * np.pi) < 1e-12
+    # one entry per even level; odd levels cannot appear in either invariant
+    assert h1.shape == h2.shape == (len(even_masks(2)),)
 
 
 def test_level_product_merge_signs():
@@ -412,8 +405,8 @@ def test_csv_writers(tmp_path):
     traj = evolve(fermionic_state(32), cfg)
     series = tmp_path / "series.csv"
     state_csv = tmp_path / "final.csv"
-    write_series_csv(str(series), traj, 2)
-    write_state_csv(str(state_csv), traj.final, 2)
+    write_series_csv(str(series), traj)
+    write_state_csv(str(state_csv), traj.final)
     lines = series.read_text().strip().splitlines()
     assert lines[0] == "time,H1_body,H1_12,H2_body,H2_12,max_abs_ux"
     assert len(lines) == len(traj.samples) + 1
