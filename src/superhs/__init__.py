@@ -49,7 +49,7 @@ from .numerics import (
     rhs_once_integrated,
     step,
 )
-from .reporting import CheckResult, VerificationReport
+from .reporting import TOOL_VERSION, CheckResult, VerificationReport
 from .sexpr import from_sexpr, to_sexpr
 from .structures import (
     CHECKS,
@@ -70,4 +70,4 @@ from .structures import (
     run_suite,
 )
 
-__version__ = "0.1.0"
+__version__ = TOOL_VERSION

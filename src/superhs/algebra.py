@@ -408,6 +408,15 @@ def _term_sort_key(key: TermKey):
 _ZERO = SymExpr({}, _internal=True)
 
 
+def require_parity(e: SymExpr, parity: int, what: str) -> None:
+    """The one homogeneous-parity guard: zero passes, a wrong or mixed parity raises."""
+    found = e.parity()
+    if found is None:
+        raise ParityError(f"{what} is not parity homogeneous")
+    if found != parity and not e.is_zero():
+        raise ParityError(f"{what} has parity {found}, expected {parity}")
+
+
 def lam_power(k: int) -> SymExpr:
     """The formal spectral parameter raised to an integer power."""
     return SymExpr.monomial(1, (), lam=k)

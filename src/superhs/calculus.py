@@ -4,6 +4,11 @@ Provides the total derivatives ``dx`` and ``dt``, the odd superderivative
 ``superD`` (an odd derivation squaring to ``dx``), theta-expansion and Berezin
 integration, jet substitution closed under prolongation, and first variations.
 
+``jet_derivative`` is the one routine that differentiates up to a jet's order
+(d/dt j times, then ``superD`` or ``dx`` k times).  Prolongation of a rule,
+the variation of a jet and the Euler operators of ``density`` all call it.
+Rules and variations are checked by ``algebra.require_parity``.
+
 Conventions fixed here:
 
 * theta is constant in both x and t;
@@ -22,10 +27,10 @@ from typing import Dict, Mapping, Tuple
 from .algebra import (
     FieldSymbol,
     JetFactor,
-    ParityError,
     SymExpr,
     TermKey,
     _accumulate,
+    require_parity,
     theta_factor,
 )
 
@@ -91,16 +96,24 @@ def superD(e: SymExpr) -> SymExpr:
     return SymExpr.from_terms(raw())
 
 
-def theta_strip(e: SymExpr) -> Tuple[SymExpr, SymExpr]:
-    """Split ``e = body + theta*soul`` and return ``(body, soul)``."""
-    body: Dict[TermKey, Fraction] = {}
-    soul: Dict[TermKey, Fraction] = {}
-    for (lam, theta, factors), coeff in e._terms.items():
-        if theta:
-            soul[(lam, 0, factors)] = coeff
-        else:
-            body[(lam, 0, factors)] = coeff
-    return SymExpr(body, _internal=True), SymExpr(soul, _internal=True)
+def jet_derivative(e: SymExpr, dt_order: int, x_order: int, superspace: bool = False) -> SymExpr:
+    """d/dt applied ``dt_order`` times, then ``superD`` (superspace) or ``dx`` ``x_order`` times.
+
+    The derivative that takes a field to one of its jets, and a rule keyed on
+    a jet to a higher one (prolongation).  ``_order`` gives the matching
+    x-order of a jet.
+    """
+    for _ in range(dt_order):
+        e = dt(e)
+    x_step = superD if superspace else dx
+    for _ in range(x_order):
+        e = x_step(e)
+    return e
+
+
+def _order(jet: JetFactor) -> int:
+    """A jet's x-order counted in the steps of ``jet_derivative``."""
+    return jet.d_order if jet.symbol.superspace else jet.dx
 
 
 @dataclass(frozen=True)
@@ -115,13 +128,20 @@ class SuperfieldExpr:
 
 
 def theta_expand(e: SymExpr) -> SuperfieldExpr:
-    body, soul = theta_strip(e)
-    return SuperfieldExpr(body, soul)
+    """Split ``e = body + theta*soul``."""
+    body: Dict[TermKey, Fraction] = {}
+    soul: Dict[TermKey, Fraction] = {}
+    for (lam, theta, factors), coeff in e._terms.items():
+        if theta:
+            soul[(lam, 0, factors)] = coeff
+        else:
+            body[(lam, 0, factors)] = coeff
+    return SuperfieldExpr(SymExpr(body, _internal=True), SymExpr(soul, _internal=True))
 
 
 def berezin(e: SymExpr) -> SymExpr:
     """Berezin integration over theta: keep the theta coefficient."""
-    return theta_strip(e)[1]
+    return theta_expand(e).soul
 
 
 # ---------------------------------------------------------------------------
@@ -132,48 +152,19 @@ class SubstitutionError(ValueError):
     pass
 
 
-def _rule_parity_check(rules: Mapping[JetFactor, SymExpr]) -> None:
-    for key, rhs in rules.items():
-        p = rhs.parity()
-        if not rhs.is_zero() and p is not None and p != key.parity:
-            raise ParityError(
-                f"substitution for {key} has parity {p}, expected {key.parity}"
-            )
-        if p is None:
-            raise ParityError(f"substitution for {key} is not parity homogeneous")
-
-
 def _applicable(factor: JetFactor, key: JetFactor) -> bool:
-    if factor.symbol != key.symbol:
-        return False
-    if factor.dt < key.dt:
-        return False
-    if factor.symbol.superspace:
-        return factor.d_order >= key.d_order
-    return factor.dtheta == key.dtheta == 0 and factor.dx >= key.dx
+    """Is ``factor`` a jet of ``key`` (a prolongation of it, or itself)?"""
+    return factor.symbol == key.symbol and factor.dt >= key.dt and _order(factor) >= _order(key)
 
 
 def _prolong(rhs: SymExpr, key: JetFactor, factor: JetFactor,
              cache: Dict[Tuple[JetFactor, int, int], SymExpr]) -> SymExpr:
-    if factor.symbol.superspace:
-        steps = factor.d_order - key.d_order
-    else:
-        steps = factor.dx - key.dx
     dts = factor.dt - key.dt
+    steps = _order(factor) - _order(key)
     ck = (key, dts, steps)
-    if ck in cache:
-        return cache[ck]
-    out = rhs
-    for _ in range(dts):
-        out = dt(out)
-    if factor.symbol.superspace:
-        for _ in range(steps):
-            out = superD(out)
-    else:
-        for _ in range(steps):
-            out = dx(out)
-    cache[ck] = out
-    return out
+    if ck not in cache:
+        cache[ck] = jet_derivative(rhs, dts, steps, factor.symbol.superspace)
+    return cache[ck]
 
 
 def substitute(
@@ -188,12 +179,9 @@ def substitute(
     result deterministic; for prolongation-consistent rule systems the choice
     does not matter.
     """
-    _rule_parity_check(rules)
-    keys = sorted(
-        rules,
-        key=lambda k: (k.dt, k.d_order if k.symbol.superspace else k.dx),
-        reverse=True,
-    )
+    for key, rhs in rules.items():
+        require_parity(rhs, key.parity, f"substitution for {key}")
+    keys = sorted(rules, key=lambda k: (k.dt, _order(k)), reverse=True)
     cache: Dict[Tuple[JetFactor, int, int], SymExpr] = {}
 
     def settled():
@@ -233,25 +221,13 @@ def first_variation(e: SymExpr, variations: Mapping[FieldSymbol, SymExpr]) -> Sy
     of the spliced product.
     """
     for sym, delta in variations.items():
-        p = delta.parity()
-        if not delta.is_zero() and p is not None and p != sym.parity:
-            raise ParityError(f"variation of {sym.name} has parity {p}")
+        require_parity(delta, sym.parity, f"variation of {sym.name}")
     cache: Dict[JetFactor, SymExpr] = {}
 
     def _delta_jet(f: JetFactor) -> SymExpr:
-        if f in cache:
-            return cache[f]
-        out = variations[f.symbol]
-        for _ in range(f.dt):
-            out = dt(out)
-        if f.symbol.superspace:
-            for _ in range(f.d_order):
-                out = superD(out)
-        else:
-            for _ in range(f.dx):
-                out = dx(out)
-        cache[f] = out
-        return out
+        if f not in cache:
+            cache[f] = jet_derivative(variations[f.symbol], f.dt, _order(f), f.symbol.superspace)
+        return cache[f]
 
     total = SymExpr.zero()
     for (lam, theta, factors), coeff in e._terms.items():

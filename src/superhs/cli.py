@@ -138,7 +138,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         try:
             with open(path) as handle:
                 report = VerificationReport.from_json(handle.read())
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"error: cannot read report {path}: {exc}", file=sys.stderr)
             return EXIT_USAGE
         print(f"== {path}")

@@ -23,7 +23,10 @@ Monomials concentrating derivatives on few factors are eliminated first, so
 one integration by parts sends ``u*u_xx`` to ``-u_x**2``.  That sparse
 eliminator, ``_reduce_against``, is the only one in the package: the flux
 certificates of ``structures.conservation_check`` decide span membership with
-it too (an empty residual means the target lies in the span).
+it too (an empty residual means the target lies in the span), on vectors built
+by ``_coefficient_vector``.  ``_dx_integrand`` is the one check that an input
+density has measure ``dx``; ``variational_derivative``, ``canonical_density``
+and ``conservation_check`` all call it.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .algebra import ODD, FieldSymbol, JetFactor, SymExpr, TermKey, _accumulate, _sort_factors
-from .calculus import berezin, dx, dt
+from .calculus import berezin, dx, jet_derivative
 
 
 class MeasureError(ValueError):
@@ -49,6 +52,20 @@ class Density:
     def __post_init__(self):
         if self.measure not in ("dx", "dx_dtheta"):
             raise MeasureError(f"unknown measure {self.measure!r}")
+
+
+def _dx_integrand(density: "Density | SymExpr", caller: str) -> SymExpr:
+    """The integrand of a dx-measure density; a bare expression is taken as one."""
+    if not isinstance(density, Density):
+        return density
+    if density.measure != "dx":
+        raise MeasureError(f"{caller} expects a dx-measure density")
+    return density.integrand
+
+
+def _coefficient_vector(e: SymExpr) -> Dict[Tuple[JetFactor, ...], Fraction]:
+    """Coefficients keyed by factor tuple, for ``e`` of one lam power and theta flag."""
+    return {factors: c for (_lam, _theta, factors), c in e._terms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +111,7 @@ def euler_x(e: SymExpr, field: FieldSymbol, dt_order: int = 0) -> SymExpr:
     )
     total = SymExpr.zero()
     for k in range(max_k + 1):
-        term = partial_jet(e, JetFactor(field, dx=k, dt=dt_order))
-        for _ in range(k):
-            term = dx(term)
+        term = jet_derivative(partial_jet(e, JetFactor(field, dx=k, dt=dt_order)), 0, k)
         total = total + (term if k % 2 == 0 else -term)
     return total
 
@@ -106,22 +121,14 @@ def euler_xt(e: SymExpr, field: FieldSymbol) -> SymExpr:
     max_j = max((f.dt for f in e.jet_factors() if f.symbol == field), default=0)
     total = SymExpr.zero()
     for j in range(max_j + 1):
-        term = euler_x(e, field, j)
-        for _ in range(j):
-            term = dt(term)
+        term = jet_derivative(euler_x(e, field, j), j, 0)
         total = total + (term if j % 2 == 0 else -term)
     return total
 
 
 def variational_derivative(density: "Density | SymExpr", field: FieldSymbol) -> SymExpr:
     """Functional gradient of a dx-measure density with respect to one field."""
-    if isinstance(density, Density):
-        if density.measure != "dx":
-            raise MeasureError("variational_derivative expects a dx-measure density")
-        e = density.integrand
-    else:
-        e = density
-    return euler_x(e, field)
+    return euler_x(_dx_integrand(density, "variational_derivative"), field)
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +282,7 @@ def canonical_density(density: "Density | SymExpr") -> SymExpr:
     Two densities have equal canonical forms iff they differ by a total
     x-derivative.
     """
-    if isinstance(density, Density):
-        if density.measure != "dx":
-            raise MeasureError("canonical_density expects a dx-measure density")
-        e = density.integrand
-    else:
-        e = density
+    e = _dx_integrand(density, "canonical_density")
     _check_component_only(e)
     sectors: Dict[Tuple, Dict[int, Dict[Tuple[JetFactor, ...], Fraction]]] = {}
     for key, coeff in e._terms.items():
@@ -295,8 +297,7 @@ def canonical_density(density: "Density | SymExpr") -> SymExpr:
             generators = []
             if total > 0:
                 for fs in window_monomials(slots, total - 1):
-                    image = dx(SymExpr.monomial(1, fs))
-                    vec = {k[2]: c for k, c in image._terms.items()}
+                    vec = _coefficient_vector(dx(SymExpr.monomial(1, fs)))
                     if vec:
                         generators.append(vec)
             reduced = _reduce_against(target, generators)

@@ -40,9 +40,37 @@ class VerificationReport:
 
     @staticmethod
     def from_json(text: str) -> "VerificationReport":
+        """Parse a report, raising ``ValueError`` on any shape or field-type mismatch."""
         payload = json.loads(text)
-        entries = [CheckResult(**entry) for entry in payload["entries"]]
-        return VerificationReport(entries=entries, metadata=payload.get("metadata", {}))
+        if not isinstance(payload, dict):
+            raise ValueError("a report must be a JSON object")
+        entries = payload.get("entries")
+        if not isinstance(entries, list) or not entries:
+            raise ValueError('"entries" must be a nonempty list')
+        metadata = payload.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise ValueError('"metadata" must be an object')
+        return VerificationReport([_check_result(entry) for entry in entries], metadata)
+
+
+# the JSON types of each CheckResult field; the first two are required
+_ENTRY_TYPES = {"check_id": str, "passed": bool, "residual": str, "elapsed": (int, float), "detail": str}
+
+
+def _check_result(entry) -> CheckResult:
+    if not isinstance(entry, dict):
+        raise ValueError(f"a report entry must be an object, got {entry!r}")
+    unknown = sorted(set(entry) - set(_ENTRY_TYPES))
+    if unknown:
+        raise ValueError(f"report entry has unknown keys {unknown}")
+    missing = [key for key in ("check_id", "passed") if key not in entry]
+    if missing:
+        raise ValueError(f"report entry lacks {missing}")
+    for key, value in entry.items():
+        # bool is an int subclass, but true/false is no elapsed time
+        if not isinstance(value, _ENTRY_TYPES[key]) or (key == "elapsed" and isinstance(value, bool)):
+            raise ValueError(f"report entry field {key!r} has the wrong type: {value!r}")
+    return CheckResult(**entry)
 
 
 def make_metadata(config_hash: str) -> Dict[str, str]:

@@ -28,6 +28,17 @@ class SExprError(ValueError):
     pass
 
 
+_PARITIES = {"even": EVEN, "odd": ODD}
+_KINDS = ("field", "super", "const")
+
+
+def _int(token) -> int:
+    try:
+        return int(token)
+    except (TypeError, ValueError):
+        raise SExprError(f"expected an integer, got {token!r}") from None
+
+
 def to_sexpr(e: SymExpr) -> str:
     parts: List[str] = []
     for (lam, theta, factors), coeff in e.terms():
@@ -90,21 +101,24 @@ def from_sexpr(text: str) -> SymExpr:
             if not isinstance(atom, list) or not atom:
                 raise SExprError("malformed atom")
             if atom[0] == "lam":
-                lam += int(atom[1])
+                if len(atom) != 2:
+                    raise SExprError(f"lam atom needs one power, got {atom}")
+                lam += _int(atom[1])
             elif atom[0] == "theta":
                 theta += 1
             elif atom[0] == "jet":
                 if len(atom) != 7:
                     raise SExprError(f"jet atom needs 6 fields, got {atom}")
                 name, parity_s, kind, dx_s, dt_s, dth_s = atom[1:]
-                parity = ODD if parity_s == "odd" else EVEN
+                if parity_s not in _PARITIES or kind not in _KINDS:
+                    raise SExprError(f"unknown parity or kind in {atom}")
                 sym = FieldSymbol(
                     name,
-                    parity,
+                    _PARITIES[parity_s],
                     superspace=(kind == "super"),
                     constant=(kind == "const"),
                 )
-                factors.append(JetFactor(sym, int(dx_s), int(dt_s), int(dth_s)))
+                factors.append(JetFactor(sym, _int(dx_s), _int(dt_s), _int(dth_s)))
             else:
                 raise SExprError(f"unknown atom {atom[0]!r}")
         if theta > 1:

@@ -13,6 +13,7 @@ from superhs.algebra import (
     SymExpr,
     _sort_factors,
     lam_power,
+    require_parity,
     theta_factor,
 )
 from superhs.calculus import dx, substitute, superD
@@ -198,3 +199,23 @@ def test_sexpr_rejects_garbage():
         from_sexpr("(product)")
     with pytest.raises(SExprError):
         from_sexpr("(sum (term 1 (unknown 3)))")
+    for text in (
+        "(sum (term 1 (lam)))",
+        "(sum (term 1 (lam x)))",
+        "(sum (term 1 (jet u maybe field 0 0 0)))",
+        "(sum (term 1 (jet u even weird 0 0 0)))",
+        "(sum (term 1 (jet u even field one 0 0)))",
+    ):
+        with pytest.raises(SExprError):
+            from_sexpr(text)
+
+
+def test_require_parity_guard():
+    u, xi = FieldSymbol("u", EVEN), FieldSymbol("xi", ODD)
+    for parity in (EVEN, ODD):
+        require_parity(SymExpr.zero(), parity, "zero")
+    require_parity(u() * xi(), ODD, "odd product")
+    with pytest.raises(ParityError, match="has parity 1, expected 0"):
+        require_parity(xi(), EVEN, "xi")
+    with pytest.raises(ParityError, match="not parity homogeneous"):
+        require_parity(u() + xi(), EVEN, "u + xi")

@@ -10,6 +10,7 @@ from superhs.calculus import (
     dt,
     dx,
     first_variation,
+    jet_derivative,
     substitute,
     superD,
     theta_expand,
@@ -160,3 +161,15 @@ def test_first_variation_in_place_signs():
 def test_first_variation_parity_check():
     with pytest.raises(ParityError):
         first_variation(u(), {u: xi()})
+    with pytest.raises(ParityError, match="not parity homogeneous"):
+        first_variation(u(), {u: u() + xi()})
+
+
+def test_jet_derivative_composes_t_then_x_steps():
+    rng = random.Random(41)
+    for _ in range(20):
+        e = random_expr(rng, allow_theta=True)
+        assert jet_derivative(e, 1, 2) == dx(dx(dt(e)))
+        assert jet_derivative(e, 0, 0) == e
+    big_u = FieldSymbol("U", EVEN, superspace=True)
+    assert jet_derivative(big_u(), 1, 3, superspace=True) == big_u(dx=1, dt=1, dtheta=1)

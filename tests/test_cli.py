@@ -212,3 +212,26 @@ def test_report_requires_files():
     with pytest.raises(SystemExit) as info:
         main(["report"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"entries": [{"check_id": "geodesic", "passed": True, "bogus": 1}]},
+        [1, 2],
+        {"entries": [5]},
+        {"entries": "abc"},
+        {"entries": []},
+        {"entries": [{"check_id": "geodesic", "passed": "false"}]},
+        {"entries": [{"check_id": "geodesic", "passed": True, "elapsed": True}]},
+    ],
+    ids=["unknown-key", "top-level-list", "entry-not-object", "entries-string",
+         "no-entries", "passed-string", "elapsed-bool"],
+)
+def test_report_rejects_malformed_file_exits_2(tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert main(["report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "error: cannot read report" in captured.err
+    assert "PASS" not in captured.out

@@ -22,6 +22,8 @@ from superhs.density import (
     variational_derivative,
 )
 
+from superhs.structures import conservation_check
+
 from helpers import random_expr, random_x_poly
 
 u = FieldSymbol("u", EVEN)
@@ -136,6 +138,8 @@ def test_measure_validation():
         variational_derivative(Density(u(), "dx_dtheta"), u)
     with pytest.raises(MeasureError):
         canonical_density(Density(u(), "dx_dtheta"))
+    with pytest.raises(MeasureError, match="conservation_check expects a dx-measure"):
+        conservation_check(Density(u(), "dx_dtheta"))
 
 
 def test_spacetime_euler_operator():

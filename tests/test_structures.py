@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 
@@ -5,7 +6,9 @@ import pytest
 
 from superhs.algebra import ParityError, SymExpr, lam_power, theta_factor
 from superhs.calculus import dx, substitute, theta_expand
+from superhs import structures
 from superhs.density import Density, equals_mod_dx, is_total_x_derivative
+from superhs.sexpr import to_sexpr
 from superhs.structures import (
     CHI,
     PHI,
@@ -330,6 +333,37 @@ def test_full_suite_passes():
     for result in results:
         assert result.passed, f"{result.check_id}: {result.detail}"
         assert result.residual == ""
+
+
+def test_registry_holds_the_declared_checks_in_order():
+    assert SUITE_NAMES == (
+        "bracket", "geodesic", "biham", "lagrangian", "susy",
+        "superspace", "lax", "recursion", "conservation", "jacobi",
+    )
+    for name, check in structures.CHECKS.items():
+        assert check is getattr(structures, f"check_{name}")
+        assert check.__name__ == f"check_{name}"
+    params = inspect.signature(check_jacobi).parameters.values()
+    assert [(p.name, p.default) for p in params] == [("n_cases", 60), ("seed", 20240901)]
+    assert not inspect.signature(structures.check_bracket).parameters
+
+
+def test_check_harness_builds_results(monkeypatch):
+    monkeypatch.setattr(structures, "CHECKS", {})
+
+    @structures._check("demo", detail="{size} cases")
+    def check_demo(failures, size=2, fail=True):
+        if fail:
+            failures.append(("first", U()))
+            failures.append(("second", XI()))
+
+    assert structures.CHECKS == {"demo": check_demo}
+    bad = check_demo(3)
+    assert (bad.check_id, bad.passed, bad.detail) == ("demo", False, "first; second || 3 cases")
+    assert bad.residual == to_sexpr(U())
+    good = check_demo(fail=False)
+    assert (good.passed, good.residual, good.detail) == (True, "", "2 cases")
+    assert good.elapsed >= 0.0
 
 
 def test_unknown_suite_name_raises():
