@@ -43,6 +43,7 @@ from .numerics import (
     SolverConfig,
     Trajectory,
     conserved_quantities,
+    evaluate,
     evolve,
     initial_state,
     residual_check,

@@ -19,6 +19,9 @@ verification verdicts must be exact zeros, never small residuals.
 ``lam`` is a formal commuting indeterminate with integer (possibly negative)
 powers; it stands in for the spectral parameter so that identities are checked
 exactly in it.
+
+The module is pure Python and defines the parities ``EVEN``/``ODD`` for the
+whole package; ``numerics.evaluate`` turns an expression into numbers.
 """
 from __future__ import annotations
 
@@ -26,9 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
-import numpy as np
-
-from .grassmann import EVEN, ODD, even_masks, gmul_stack, odd_masks
+EVEN = 0
+ODD = 1
 
 ScalarLike = Union[int, Fraction]
 
@@ -318,58 +320,6 @@ class SymExpr:
 
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
-
-    # -- numeric bridge ------------------------------------------------------
-    def evaluate(
-        self,
-        bindings: Mapping[JetFactor, Union[float, np.ndarray]],
-        n_generators: int = 0,
-    ) -> np.ndarray:
-        """Evaluate with every jet bound to a level stack of ``Lambda_N``.
-
-        A jet's stack has one row per ``even_masks(N)``/``odd_masks(N)`` mask
-        of the jet's parity, and its trailing axes, if any, index points; an
-        even jet may instead be bound to a float, which is its body.  Returns
-        the stack of the expression's parity (the zero expression gives an
-        even zero stack), multiplied out with ``gmul_stack``.  A mixed-parity
-        expression, lam, theta, superspace jets and a stack with the wrong
-        row count raise.
-        """
-        parity = self.parity()
-        if parity is None:
-            raise ParityError("cannot evaluate a mixed-parity expression")
-        n_rows = (len(even_masks(n_generators)), len(odd_masks(n_generators)))
-        stacks = {}
-        for f in self.jet_factors():
-            if f.symbol.superspace:
-                raise ValueError(f"cannot evaluate superspace jet {f}")
-            if f not in bindings:
-                raise KeyError(f"no binding for jet {f}")
-            val = bindings[f]
-            if not isinstance(val, np.ndarray):
-                if f.parity:
-                    raise ValueError(f"odd jet {f} must be bound to a level stack")
-                val = np.zeros(n_rows[EVEN])
-                val[0] = float(bindings[f])
-            if val.shape[:1] != (n_rows[f.parity],):
-                raise ValueError(
-                    f"jet {f} needs {n_rows[f.parity]} rows at N = {n_generators}, "
-                    f"got shape {val.shape}"
-                )
-            stacks[f] = val
-        points = np.broadcast_shapes(*(v.shape[1:] for v in stacks.values()))
-        total = np.zeros((n_rows[parity],) + points)
-        for (lam, theta, factors), coeff in self._terms.items():
-            if lam or theta:
-                raise ValueError("cannot evaluate expressions containing lam or theta")
-            acc = np.zeros((n_rows[EVEN],) + points)
-            acc[0] = float(coeff)
-            acc_parity = EVEN
-            for f in factors:
-                acc = gmul_stack(acc, acc_parity, stacks[f], f.parity, n_generators)
-                acc_parity ^= f.parity
-            total += acc
-        return total
 
     # -- display -------------------------------------------------------------
     def __str__(self) -> str:

@@ -9,9 +9,10 @@ to bit arithmetic.
 A homogeneous value is held as a level stack: an array whose first axis has
 one row per mask of its parity, in ``even_masks(N)``/``odd_masks(N)`` order
 (``mask_row`` gives a mask's row), and whose trailing axes, if any, index
-points.  ``gmul_stack`` multiplies two stacks; the numeric solver and
-``SymExpr.evaluate`` use it and no other product.  ``gmul`` multiplies one
-point at a time and serves the tests as a reference.
+points.  ``gmul_stack`` multiplies two stacks; ``numerics``, which evaluates
+expressions and integrates the system on stacks, uses it and no other
+product.  ``gmul`` multiplies one point at a time and serves the tests as a
+reference.  Parities are the 0/1 of ``algebra.EVEN``/``algebra.ODD``.
 """
 from __future__ import annotations
 
@@ -19,9 +20,6 @@ from functools import lru_cache
 from typing import Dict, Iterable, Mapping, Tuple
 
 import numpy as np
-
-EVEN = 0
-ODD = 1
 
 
 def merge_sign(mask_a: int, mask_b: int) -> int:
@@ -70,8 +68,8 @@ def gmul_stack(
 ) -> np.ndarray:
     """Pointwise product of two level stacks of ``Lambda_N``, with ``gmul``'s signs.
 
-    Rows follow ``even_masks(N)`` (EVEN) or ``odd_masks(N)`` (ODD); the result
-    is the stack of parity ``parity_a ^ parity_b``.
+    Rows follow ``even_masks(N)`` (parity 0) or ``odd_masks(N)`` (parity 1);
+    the result is the stack of parity ``parity_a ^ parity_b``.
     """
     n_out, pairs = _product_table(n_generators, parity_a, parity_b)
     out = np.zeros((n_out,) + a.shape[1:])

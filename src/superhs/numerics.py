@@ -8,6 +8,13 @@ and the spectral helpers act on the last axis.  The default N = 2 is the
 smallest truncation in which the fermionic backreaction on u is visible (it
 needs two distinct generators), giving four coupled real components.
 
+The solver writes no equation of its own.  ``evaluate`` multiplies a
+symbolic expression out on level stacks, and the same loop, ``_sum_products``,
+runs the expressions that ``structures`` derives and checks: the
+once-integrated potentials for the right side, the Hamiltonian densities for
+the invariants and the second-order right sides for the residual.  They are
+checked and turned into float terms once per process.
+
 Time stepping solves the once-integrated form of the equations: the right
 sides of u_tx and xi_tx are made mean-free (periodic solvability fixes the
 integration constants) and inverted spectrally with the zero-mean gauge on
@@ -24,11 +31,14 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Mapping, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
-from .grassmann import EVEN, ODD, even_masks, gmul_stack, mask_row, odd_masks
+from .algebra import EVEN, JetFactor, ParityError, SymExpr
+from .grassmann import even_masks, gmul_stack, mask_row, odd_masks
+from .structures import XI, U, geodesic_system, hamiltonian_densities
 
 TWO_PI = 2.0 * np.pi
 # rows per field stack grow as 2**(N-1) and product pairs as 3**N
@@ -110,12 +120,23 @@ def grid(n_modes: int) -> np.ndarray:
     return TWO_PI * np.arange(n_modes) / n_modes
 
 
+@lru_cache(maxsize=None)
+def _wavenumbers(n: int) -> np.ndarray:
+    """The nonnegative wavenumbers of an n-point real transform, built once per n."""
+    k = np.fft.rfftfreq(n, d=1.0 / n)
+    k.setflags(write=False)  # shared by every caller
+    return k
+
+
 def _derivatives(arr: np.ndarray, orders: Sequence[int]) -> List[np.ndarray]:
-    """Derivatives of the given orders along the last axis, from one transform."""
+    """Derivatives of the given orders along the last axis, from one transform.
+
+    Order 0 is ``arr`` itself and takes no inverse transform.
+    """
     n = arr.shape[-1]
     spec = np.fft.rfft(arr)
-    ik = 1j * np.fft.rfftfreq(n, d=1.0 / n)
-    return [np.fft.irfft(spec * ik**order, n) for order in orders]
+    ik = 1j * _wavenumbers(n)
+    return [np.fft.irfft(spec * ik**order, n) if order else arr for order in orders]
 
 
 def spectral_dx(arr: np.ndarray, order: int = 1) -> np.ndarray:
@@ -128,7 +149,7 @@ def spectral_antiderivative(arr: np.ndarray, dealias: bool = False) -> np.ndarra
     ``dealias`` first cuts the top third of the modes as ``dealias_23`` does.
     """
     n = arr.shape[-1]
-    k = np.fft.rfftfreq(n, d=1.0 / n)
+    k = _wavenumbers(n)
     spec = np.fft.rfft(arr)
     if dealias:
         spec[..., k > n / 3.0] = 0.0
@@ -141,7 +162,7 @@ def dealias_23(arr: np.ndarray) -> np.ndarray:
     """Standard two-thirds truncation of the top modes."""
     n = arr.shape[-1]
     spec = np.fft.rfft(arr)
-    spec[..., np.fft.rfftfreq(n, d=1.0 / n) > n / 3.0] = 0.0
+    spec[..., _wavenumbers(n) > n / 3.0] = 0.0
     return np.fft.irfft(spec, n)
 
 
@@ -182,29 +203,151 @@ class GridState:
         return float(np.abs(spectral_dx(self.u)).max())
 
 
+# ---------------------------------------------------------------------------
+# symbolic expressions on level stacks
+
+
+def _float_terms(exprs: Sequence[SymExpr]) -> Tuple[list, list]:
+    """Check expressions for evaluation; return their shared slots and float terms.
+
+    The slots are the jets, sorted by field name and order, after ``None``,
+    the body 1 that a field-free term starts from.  A monomial becomes
+    ``(coeff, slot, parity, rest)``: its last factor's slot and parity, then
+    the other factors' ``(slot, parity)`` from right to left.  A mixed-parity
+    expression, lam, theta and superspace jets raise.
+    """
+    jets = set()
+    for expr in exprs:
+        if expr.parity() is None:
+            raise ParityError("cannot evaluate a mixed-parity expression")
+        for (lam, theta, factors), _ in expr.terms():
+            if lam or theta:
+                raise ValueError("cannot evaluate expressions containing lam or theta")
+            jets.update(factors or (None,))
+    for f in jets - {None}:
+        if f.symbol.superspace:
+            raise ValueError(f"cannot evaluate superspace jet {f}")
+    slots = sorted(jets, key=lambda f: () if f is None else (f.symbol.name, f.dt, f.dx))
+    index = {f: i for i, f in enumerate(slots)}
+
+    def float_term(factors, coeff):
+        last, *rest = [(index[f], f.parity) for f in reversed(factors)] or [(index[None], EVEN)]
+        return (float(coeff), *last, tuple(rest))
+
+    return slots, [[float_term(key[2], c) for key, c in expr.terms()] for expr in exprs]
+
+
+def _sum_products(terms: list, stacks: Sequence[np.ndarray], n_generators: int) -> np.ndarray:
+    """The package's one loop that multiplies monomials into level stacks.
+
+    Sums nonempty float terms with each slot bound to its stack.  A monomial
+    starts from its last factor's stack and takes the others on from the left
+    with ``gmul_stack`` (``a*b*c`` is ``a*(b*c)``); its coefficient scales it
+    last.
+    """
+    total = None
+    for coeff, slot, parity, rest in terms:
+        acc = stacks[slot]
+        for slot, factor_parity in rest:
+            acc = gmul_stack(stacks[slot], factor_parity, acc, parity, n_generators)
+            parity ^= factor_parity
+        if rest:
+            acc *= coeff  # a fresh product
+        else:
+            acc = acc * coeff  # a copy, so the total never aliases a bound stack
+        if total is None:
+            total = acc
+        else:
+            total += acc
+    return total
+
+
+def evaluate(
+    expr: SymExpr,
+    bindings: Mapping[JetFactor, Union[float, np.ndarray]],
+    n_generators: int = 0,
+) -> np.ndarray:
+    """Evaluate ``expr`` with every jet bound to a level stack of ``Lambda_N``.
+
+    A jet's stack has one row per ``even_masks(N)``/``odd_masks(N)`` mask of
+    the jet's parity, and its trailing axes, if any, index points; an even jet
+    may instead be bound to a float, which is its body.  Returns the stack of
+    the expression's parity (the zero expression gives an even zero stack).
+    A mixed-parity expression, lam, theta, superspace jets and a stack with
+    the wrong row count raise.
+    """
+    slots, (terms,) = _float_terms((expr,))
+    n_rows = (len(even_masks(n_generators)), len(odd_masks(n_generators)))
+    stacks = []
+    for f in slots:
+        if f is not None and f not in bindings:
+            raise KeyError(f"no binding for jet {f}")
+        val, parity = (1.0, EVEN) if f is None else (bindings[f], f.parity)
+        if not isinstance(val, np.ndarray):
+            if parity:
+                raise ValueError(f"odd jet {f} must be bound to a level stack")
+            val = np.array([float(val)] + [0.0] * (n_rows[EVEN] - 1))
+        if val.shape[:1] != (n_rows[parity],):
+            raise ValueError(
+                f"jet {f} needs {n_rows[parity]} rows at N = {n_generators}, "
+                f"got shape {val.shape}"
+            )
+        stacks.append(val)
+    points = np.broadcast_shapes(*(v.shape[1:] for v in stacks))
+    if not terms:
+        return np.zeros((n_rows[EVEN],) + points)
+    # a product takes its point axes from its left factor, so give every stack all of them
+    stacks = [v.reshape(v.shape[:1] + (1,) * (len(points) + 1 - v.ndim) + v.shape[1:]) for v in stacks]
+    return _sum_products(terms, [np.broadcast_to(v, v.shape[:1] + points) for v in stacks], n_generators)
+
+
+@lru_cache(maxsize=None)
+def _system_terms() -> Dict[str, tuple]:
+    """The system's equations as float terms, derived by ``structures`` once per process.
+
+    ``"rhs"`` holds the once-integrated potentials, ``"invariants"`` the H1
+    and H2 densities and ``"residual"`` rhs_m and rhs_eta.  Each entry is the
+    x-orders of u and of xi that its slots bind, then each expression's terms.
+    """
+    system = geodesic_system()
+    h1, h2 = hamiltonian_densities()
+    out = {}
+    for name, exprs in (
+        ("rhs", system.once_integrated_potentials()),
+        ("invariants", (h1.integrand, h2.integrand)),
+        ("residual", (system.rhs_m, system.rhs_eta)),
+    ):
+        slots, terms = _float_terms(exprs)
+        # sorted by field name, the slots hold the jets of u and then those of xi
+        if any(f is None or f.symbol not in (U, XI) or f.dt for f in slots):
+            raise ValueError(f"the solver binds only x-jets of u and xi, got {slots}")
+        out[name] = [tuple(f.dx for f in slots if f.symbol == field) for field in (U, XI)], terms
+    return out
+
+
+def _jet_stacks(state: GridState, orders: Sequence[Sequence[int]]) -> List[np.ndarray]:
+    """Slot stacks: u's and then xi's jets at the given x-orders, one transform per field."""
+    return _derivatives(state.u, orders[0]) + _derivatives(state.xi, orders[1])
+
+
 def rhs_once_integrated(state: GridState, cfg: SolverConfig) -> Tuple[np.ndarray, np.ndarray]:
     """Time derivatives (u_t, xi_t) from the once-integrated equations.
 
-    u_tx  = -(u u_xx + u_x**2/2 + xi_x xi_xx/2) - a(t)
-    xi_tx = -(u xi_xx + u_x xi_x/2)             - b(t)
-
-    a and b are the unique Grassmann-valued constants making the right sides
-    mean-free (periodic solvability); u_t and xi_t then come from the
-    zero-mean spectral antiderivative, which drops the mean.
+    u_tx = pot_u - a(t) and xi_tx = pot_xi - b(t), with the potentials of
+    ``geodesic_system().once_integrated_potentials()``.  a and b are the
+    unique Grassmann-valued constants making the right sides mean-free
+    (periodic solvability); u_t and xi_t then come from the zero-mean
+    spectral antiderivative, which drops the mean.
     """
-    n_gen = state.n_grassmann
-    u_x, u_xx = _derivatives(state.u, (1, 2))
-    xi_x, xi_xx = _derivatives(state.xi, (1, 2))
-    w = -(
-        gmul_stack(state.u, EVEN, u_xx, EVEN, n_gen)
-        + 0.5 * gmul_stack(u_x, EVEN, u_x, EVEN, n_gen)
-        + 0.5 * gmul_stack(xi_x, ODD, xi_xx, ODD, n_gen)
+    orders, potentials = _system_terms()["rhs"]
+    # the jet stacks stay alive through both antiderivatives: freeing them first
+    # made the allocator hand back the heap top and fault it in again, 1.5x the
+    # page faults and a slower step at N = 6, n = 1024
+    stacks = _jet_stacks(state, orders)
+    return tuple(
+        spectral_antiderivative(_sum_products(terms, stacks, state.n_grassmann), cfg.dealias)
+        for terms in potentials
     )
-    v = -(
-        gmul_stack(state.u, EVEN, xi_xx, ODD, n_gen)
-        + 0.5 * gmul_stack(u_x, EVEN, xi_x, ODD, n_gen)
-    )
-    return tuple(spectral_antiderivative(f, cfg.dealias) for f in (w, v))
 
 
 def step(state: GridState, cfg: SolverConfig) -> GridState:
@@ -239,23 +382,17 @@ def step(state: GridState, cfg: SolverConfig) -> GridState:
 
 
 def conserved_quantities(state: GridState) -> Tuple[np.ndarray, np.ndarray]:
-    """Spectral quadrature of the two invariants as even level stacks.
-
-    H1 = (1/2) integral (u_x**2 + xi_xx xi_x) dx
-    H2 = (1/2) integral (u u_x**2 - u xi_x xi_xx) dx
+    """Spectral quadrature of H1 and H2, the densities of ``hamiltonian_densities()``.
 
     Each is an ``(n_even,)`` array, one entry per ``even_masks(N)`` level.
     """
-    n = state.n_grassmann
-    u_x = spectral_dx(state.u)
-    xi_x, xi_xx = _derivatives(state.xi, (1, 2))
-    ux2 = gmul_stack(u_x, EVEN, u_x, EVEN, n)
-    h1_density = ux2 + gmul_stack(xi_xx, ODD, xi_x, ODD, n)
-    h2_density = gmul_stack(state.u, EVEN, ux2, EVEN, n) - gmul_stack(
-        state.u, EVEN, gmul_stack(xi_x, ODD, xi_xx, ODD, n), EVEN, n
-    )
+    orders, densities = _system_terms()["invariants"]
+    stacks = _jet_stacks(state, orders)
     # adding 0.0 turns a -0.0 into 0.0, so a level that vanishes always prints as 0
-    return tuple(0.5 * density.mean(axis=-1) * TWO_PI + 0.0 for density in (h1_density, h2_density))
+    return tuple(
+        _sum_products(terms, stacks, state.n_grassmann).mean(axis=-1) * TWO_PI + 0.0
+        for terms in densities
+    )
 
 
 @dataclass
@@ -299,8 +436,9 @@ def residual_check(traj: Trajectory) -> float:
     """Max PDE residual of the stored trajectory (manufactured-residual style).
 
     Time derivatives come from centered differences of the samples, space
-    derivatives are spectral; both lines of the second-order system are
-    evaluated on every Grassmann level.
+    derivatives are spectral; both lines of the second-order system,
+    m_t = rhs_m and eta_t = rhs_eta of ``geodesic_system()``, are evaluated on
+    every Grassmann level.
     """
     if len(traj.states) < 3:
         raise ValueError("need at least three stored samples")
@@ -312,28 +450,17 @@ def residual_check(traj: Trajectory) -> float:
         if abs((times[i] - times[i - 1]) - dt_s) > 1e-12:
             usable = i
             break
-    n_gen = traj.states[0].n_grassmann
+    orders, (rhs_m, rhs_eta) = _system_terms()["residual"]
     worst = 0.0
     for i in range(1, usable - 1):
         prev, cur, nxt = traj.states[i - 1], traj.states[i], traj.states[i + 1]
-        u_t = (nxt.u - prev.u) / (2 * dt_s)
-        xi_t = (nxt.xi - prev.xi) / (2 * dt_s)
-        u_x, u_xx, u_xxx = _derivatives(cur.u, (1, 2, 3))
-        xi_x, xi_xx, xi_xxx = _derivatives(cur.xi, (1, 2, 3))
-        line1 = (
-            -spectral_dx(u_t, 2)
-            - 2.0 * gmul_stack(u_x, EVEN, u_xx, EVEN, n_gen)
-            - gmul_stack(cur.u, EVEN, u_xxx, EVEN, n_gen)
-            - 0.5 * gmul_stack(xi_x, ODD, xi_xxx, ODD, n_gen)
-        )
-        line2 = (
-            -spectral_dx(xi_t, 2)
-            - gmul_stack(cur.u, EVEN, xi_xxx, ODD, n_gen)
-            - 1.5 * gmul_stack(u_x, EVEN, xi_xx, ODD, n_gen)
-            - 0.5 * gmul_stack(u_xx, EVEN, xi_x, ODD, n_gen)
-        )
-        for line in (line1, line2):
-            worst = max(worst, float(np.abs(line).max(initial=0.0)))
+        # m_t and eta_t for m = -u_xx and eta = -xi_xx
+        m_t = -spectral_dx((nxt.u - prev.u) / (2 * dt_s), 2)
+        eta_t = -spectral_dx((nxt.xi - prev.xi) / (2 * dt_s), 2)
+        stacks = _jet_stacks(cur, orders)
+        for lhs, terms in ((m_t, rhs_m), (eta_t, rhs_eta)):
+            rhs = _sum_products(terms, stacks, cur.n_grassmann)
+            worst = max(worst, float(np.abs(lhs - rhs).max(initial=0.0)))
     return worst
 
 

@@ -32,11 +32,12 @@ _PARITIES = {"even": EVEN, "odd": ODD}
 _KINDS = ("field", "super", "const")
 
 
-def _int(token) -> int:
+def _number(kind, token):
+    """``kind(token)``, with a malformed token raising ``SExprError``."""
     try:
-        return int(token)
-    except (TypeError, ValueError):
-        raise SExprError(f"expected an integer, got {token!r}") from None
+        return kind(token)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise SExprError(f"{token!r} is not a valid {kind.__name__}") from None
 
 
 def to_sexpr(e: SymExpr) -> str:
@@ -93,7 +94,7 @@ def from_sexpr(text: str) -> SymExpr:
             raise SExprError("expected (term ...)")
         if len(term) < 2:
             raise SExprError("term needs a coefficient")
-        coeff = Fraction(term[1])
+        coeff = _number(Fraction, term[1])
         lam = 0
         theta = 0
         factors = []
@@ -103,8 +104,10 @@ def from_sexpr(text: str) -> SymExpr:
             if atom[0] == "lam":
                 if len(atom) != 2:
                     raise SExprError(f"lam atom needs one power, got {atom}")
-                lam += _int(atom[1])
+                lam += _number(int, atom[1])
             elif atom[0] == "theta":
+                if len(atom) != 1:
+                    raise SExprError(f"theta atom takes no argument, got {atom}")
                 theta += 1
             elif atom[0] == "jet":
                 if len(atom) != 7:
@@ -118,7 +121,11 @@ def from_sexpr(text: str) -> SymExpr:
                     superspace=(kind == "super"),
                     constant=(kind == "const"),
                 )
-                factors.append(JetFactor(sym, _int(dx_s), _int(dt_s), _int(dth_s)))
+                orders = [_number(int, token) for token in (dx_s, dt_s, dth_s)]
+                try:
+                    factors.append(JetFactor(sym, *orders))
+                except ValueError as exc:  # a negative order, a jet of a constant, ...
+                    raise SExprError(f"invalid jet {atom}: {exc}") from None
             else:
                 raise SExprError(f"unknown atom {atom[0]!r}")
         if theta > 1:

@@ -11,12 +11,14 @@ from fractions import Fraction
 
 import numpy as np
 
+from superhs.algebra import EVEN, ODD
 from superhs.calculus import dx, superD
 from superhs.density import Density, euler_x, is_total_x_derivative
-from superhs.grassmann import EVEN, ODD, even_masks, gmul_stack, mask_row
+from superhs.grassmann import even_masks, gmul_stack, mask_row
 from superhs.numerics import (
     GridState,
     SolverConfig,
+    evaluate,
     evolve,
     grid,
     residual_check,
@@ -291,8 +293,8 @@ def test_criterion_12_symbolic_numeric_cross_check():
             bindings[XI.jet(dx=k)] = np.array(
                 [_analytic_samples("xi_1", k, xs), _analytic_samples("xi_2", k, xs)]
             )
-        sym_m = system.rhs_m.evaluate(bindings, 2)
-        sym_eta = system.rhs_eta.evaluate(bindings, 2)
+        sym_m = evaluate(system.rhs_m, bindings, 2)
+        sym_eta = evaluate(system.rhs_eta, bindings, 2)
         worst = max(np.abs(sym_m - m_t[:, js]).max(), np.abs(sym_eta - eta_t[:, js]).max())
         assert worst <= 1e-10
         note["info"] = f"max deviation {worst:.2e}"

@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from superhs.algebra import (
@@ -132,42 +131,6 @@ def test_coefficient_lookup():
     assert e.coefficient([v.jet()]) == 0
 
 
-def test_evaluate_grassmann():
-    # at N = 2 odd stacks have rows (e1, e2) and even ones (body, e1e2)
-    e = u() * xi(dx=1)
-    n = 2
-    eta1, eta2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    out = e.evaluate({u.jet(): 2.0, xi.jet(dx=1): eta1}, n)
-    assert out.tolist() == [2.0, 0.0]
-    # odd factors anticommute through evaluation
-    e2 = xi() * xi(dx=1)
-    assert e2.evaluate({xi.jet(): eta1, xi.jet(dx=1): eta2}, n).tolist() == [0.0, 1.0]
-    assert e2.evaluate({xi.jet(): eta2, xi.jet(dx=1): eta1}, n).tolist() == [0.0, -1.0]
-
-
-def test_evaluate_stacks_at_points_and_rejections():
-    n = 2
-    even = np.array([[1.0, 2.0, 3.0], [0.5, 0.0, -1.0]])  # three points
-    odd = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]])
-    # (b + s e1e2)(x1 e1 + x2 e2) = b x1 e1 + b x2 e2, since e1e2 e_i = 0
-    out = (u() * xi()).evaluate({u.jet(): even, xi.jet(): odd}, n)
-    assert out.tolist() == [[1.0, 0.0, 6.0], [0.0, 2.0, 3.0]]
-    assert SymExpr.zero().evaluate({}, n).tolist() == [0.0, 0.0]
-    with pytest.raises(ParityError):
-        (u() + xi()).evaluate({u.jet(): 1.0, xi.jet(): odd}, n)
-    with pytest.raises(ValueError, match="must be bound to a level stack"):
-        xi().evaluate({xi.jet(): 1.0}, n)
-    with pytest.raises(ValueError, match="needs 2 rows"):
-        u().evaluate({u.jet(): np.zeros((4, 3))}, n)
-
-
-def test_evaluate_rejects_lam_theta():
-    with pytest.raises(ValueError):
-        lam_power(1).evaluate({}, 0)
-    with pytest.raises(ValueError):
-        theta_factor().evaluate({}, 0)
-
-
 def test_without_fields():
     e = u() * u(dx=1) + u() * xi(dx=1) * xi(dx=2)
     assert e.without_fields([xi]) == u() * u(dx=1)
@@ -205,6 +168,12 @@ def test_sexpr_rejects_garbage():
         "(sum (term 1 (jet u maybe field 0 0 0)))",
         "(sum (term 1 (jet u even weird 0 0 0)))",
         "(sum (term 1 (jet u even field one 0 0)))",
+        "(sum (term (x)))",
+        "(sum (term abc))",
+        "(sum (term 1 (jet u even field -1 0 0)))",
+        "(sum (term 1 (jet u even const 1 0 0)))",
+        "(sum (term 1 (jet u even field 0 0 1)))",
+        "(sum (term 1 (theta 7)))",
     ):
         with pytest.raises(SExprError):
             from_sexpr(text)

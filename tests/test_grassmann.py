@@ -3,9 +3,8 @@ import random
 import numpy as np
 import pytest
 
+from superhs.algebra import EVEN, ODD
 from superhs.grassmann import (
-    EVEN,
-    ODD,
     even_masks,
     gmul,
     gmul_stack,

@@ -3,13 +3,15 @@ import warnings
 import numpy as np
 import pytest
 
-from superhs.grassmann import ODD, even_masks, gmul, gmul_stack, mask_row, odd_masks
+from superhs.algebra import EVEN, ODD, FieldSymbol, ParityError, SymExpr, lam_power, theta_factor
+from superhs.grassmann import even_masks, gmul, gmul_stack, mask_row, odd_masks
 from superhs.numerics import (
     BlowUpError,
     GridState,
     SolverConfig,
     conserved_quantities,
     dealias_23,
+    evaluate,
     evolve,
     grid,
     initial_state,
@@ -280,6 +282,45 @@ def test_rhs_matches_pointwise_reference_at_n4(dealias):
     assert np.abs(dxi - ref_dxi).max() < 1e-13
 
 
+def test_conserved_quantities_match_pointwise_reference_at_n4():
+    # H1 = (1/2) int (u_x**2 + xi_xx xi_x), H2 = (1/2) int (u u_x**2 - u xi_x xi_xx)
+    n, n_gen = 64, 4
+    x = grid(n)
+    state = GridState.zeros(n, n_gen)
+    rng = np.random.default_rng(5)
+    for stack in (state.u, state.xi):
+        for row in stack:
+            a, b = rng.uniform(-0.3, 0.3, 2)
+            k = rng.integers(1, 6)
+            row[:] = a * np.cos(k * x) + b * np.sin((k + 1) * x)
+    state.u[0] += np.cos(x)
+    e_masks, o_masks = even_masks(n_gen), odd_masks(n_gen)
+
+    def at(j, stack, masks, order):
+        return {m: (spectral_dx(row, order) if order else row)[j] for m, row in zip(masks, stack)}
+
+    h1 = {m: 0.0 for m in e_masks}
+    h2 = {m: 0.0 for m in e_masks}
+    for j in range(n):
+        u, u_x = at(j, state.u, e_masks, 0), at(j, state.u, e_masks, 1)
+        xi_x, xi_xx = at(j, state.xi, o_masks, 1), at(j, state.xi, o_masks, 2)
+        ux2 = gmul(u_x, u_x)
+        fermi = gmul(xi_x, xi_xx)
+        for m, c in ux2.items():
+            h1[m] += c
+        for m, c in gmul(xi_xx, xi_x).items():
+            h1[m] += c
+        for m, c in gmul(u, ux2).items():
+            h2[m] += c
+        for m, c in gmul(u, fermi).items():
+            h2[m] -= c
+    got_h1, got_h2 = conserved_quantities(state)
+    scale = np.pi / n  # (1/2) * 2 pi / n for the mean over the grid
+    assert np.abs(got_h1 - scale * np.array([h1[m] for m in e_masks])).max() < 1e-13
+    assert np.abs(got_h2 - scale * np.array([h2[m] for m in e_masks])).max() < 1e-13
+    assert np.abs(got_h2[1:]).max() > 1e-3  # the souls of H2 are exercised
+
+
 def test_trajectory_matches_component_oracle():
     n = 64
     dt = 2e-3
@@ -420,3 +461,49 @@ def test_dealias_cuts_top_third():
     assert np.abs(dealias_23(noisy)).max() < 1e-12
     kept = np.cos(10 * x)
     assert np.abs(dealias_23(kept) - kept).max() < 1e-12
+
+
+u = FieldSymbol("u", EVEN)
+xi = FieldSymbol("xi", ODD)
+
+
+def test_evaluate_grassmann():
+    # at N = 2 odd stacks have rows (e1, e2) and even ones (body, e1e2)
+    e = u() * xi(dx=1)
+    n = 2
+    eta1, eta2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    out = evaluate(e, {u.jet(): 2.0, xi.jet(dx=1): eta1}, n)
+    assert out.tolist() == [2.0, 0.0]
+    # odd factors anticommute through evaluation
+    e2 = xi() * xi(dx=1)
+    assert evaluate(e2, {xi.jet(): eta1, xi.jet(dx=1): eta2}, n).tolist() == [0.0, 1.0]
+    assert evaluate(e2, {xi.jet(): eta2, xi.jet(dx=1): eta1}, n).tolist() == [0.0, -1.0]
+
+
+def test_evaluate_stacks_at_points_and_rejections():
+    n = 2
+    even = np.array([[1.0, 2.0, 3.0], [0.5, 0.0, -1.0]])  # three points
+    odd = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]])
+    # (b + s e1e2)(x1 e1 + x2 e2) = b x1 e1 + b x2 e2, since e1e2 e_i = 0
+    out = evaluate(u() * xi(), {u.jet(): even, xi.jet(): odd}, n)
+    assert out.tolist() == [[1.0, 0.0, 6.0], [0.0, 2.0, 3.0]]
+    assert evaluate(SymExpr.zero(), {}, n).tolist() == [0.0, 0.0]
+    # a field-free term is the body times its coefficient, at every point
+    out = evaluate(SymExpr.scalar(3) + u(), {u.jet(): even}, n)
+    assert out.tolist() == [[4.0, 5.0, 6.0], [0.5, 0.0, -1.0]]
+    # a float-bound even jet first, times a stack with point axes
+    out = evaluate(u() * u(dx=1) * xi(), {u.jet(): 2.0, u.jet(dx=1): even, xi.jet(): odd}, n)
+    assert out.tolist() == [[2.0, 0.0, 12.0], [0.0, 4.0, 6.0]]
+    with pytest.raises(ParityError):
+        evaluate(u() + xi(), {u.jet(): 1.0, xi.jet(): odd}, n)
+    with pytest.raises(ValueError, match="must be bound to a level stack"):
+        evaluate(xi(), {xi.jet(): 1.0}, n)
+    with pytest.raises(ValueError, match="needs 2 rows"):
+        evaluate(u(), {u.jet(): np.zeros((4, 3))}, n)
+
+
+def test_evaluate_rejects_lam_theta():
+    with pytest.raises(ValueError):
+        evaluate(lam_power(1), {}, 0)
+    with pytest.raises(ValueError):
+        evaluate(theta_factor(), {}, 0)
