@@ -36,7 +36,6 @@ from .density import (
     is_total_x_derivative,
     variational_derivative,
 )
-from .grassmann import gmul
 from .numerics import (
     BlowUpError,
     GridState,

@@ -3,18 +3,19 @@
 Expressions live in the jets of declared field symbols over the coordinates
 ``(x, t)`` plus an odd coordinate handled in two complementary ways:
 
-* explicit ``theta`` factors on monomials (at most first order, since
-  ``theta**2 = 0``), used when superspace quantities are expanded into
-  component fields, and
+* the jet ``THETA`` of an odd constant, used when superspace quantities are
+  expanded into component fields; it sorts below every other jet, so a
+  monomial carrying it starts with it, and ``theta**2 = 0`` follows from the
+  rule for a repeated odd factor, and
 * superspace field symbols whose jets carry an odd-derivative flag, so a jet
   records how many odd derivatives ``D`` have been applied modulo the relation
   ``D*D = d/dx``.
 
-A monomial is ``coeff * lam**k * theta**t * f1 * f2 * ... * fn`` with the jet
-factors kept in a fixed total order; reordering during canonicalisation flips
-the sign once per transposition of two odd factors, and a repeated odd factor
-(or a repeated theta) kills the monomial.  Coefficients are exact rationals:
-verification verdicts must be exact zeros, never small residuals.
+A monomial is ``coeff * lam**k * f1 * f2 * ... * fn`` with the jet factors
+(``THETA`` among them) kept in a fixed total order; reordering during
+canonicalisation flips the sign once per transposition of two odd factors,
+and a repeated odd factor kills the monomial.  Coefficients are exact
+rationals: verification verdicts must be exact zeros, never small residuals.
 
 ``lam`` is a formal commuting indeterminate with integer (possibly negative)
 powers; it stands in for the spectral parameter so that identities are checked
@@ -106,7 +107,11 @@ class JetFactor:
         return f"{self.symbol.name}_{suffix}" if suffix else self.symbol.name
 
 
-TermKey = Tuple[int, int, Tuple[JetFactor, ...]]  # (lam power, theta flag, factors)
+TermKey = Tuple[int, Tuple[JetFactor, ...]]  # (lam power, factors)
+
+# the odd coordinate: an odd constant whose empty name, which no declared
+# field can take from text, sorts it before every other jet
+THETA = JetFactor(FieldSymbol("", ODD, constant=True))
 
 
 def _sort_factors(factors: Iterable[JetFactor]) -> Optional[Tuple[int, Tuple[JetFactor, ...]]]:
@@ -135,10 +140,10 @@ def _canonical(pairs: Iterable[Tuple[TermKey, ScalarLike]]) -> Iterator[Tuple[Te
 
     Monomials that vanish (a repeated odd factor) are dropped.
     """
-    for (lam, theta, factors), coeff in pairs:
+    for (lam, factors), coeff in pairs:
         sorted_ = _sort_factors(factors)
         if sorted_ is not None:
-            yield (lam, theta, sorted_[1]), sorted_[0] * Fraction(coeff)
+            yield (lam, sorted_[1]), sorted_[0] * Fraction(coeff)
 
 
 def _accumulate(pairs: Iterable[Tuple[Hashable, Fraction]], acc: Optional[dict] = None) -> dict:
@@ -159,30 +164,11 @@ def _accumulate(pairs: Iterable[Tuple[Hashable, Fraction]], acc: Optional[dict] 
     return acc
 
 
-def _mul_keys(k1: TermKey, k2: TermKey) -> Optional[Tuple[int, TermKey]]:
-    """Product of two canonical monomial keys, with the graded sign."""
-    lam = k1[0] + k2[0]
-    if k1[1] and k2[1]:
-        return None  # theta * theta
-    sign = 1
-    theta = k1[1] | k2[1]
-    if k2[1]:
-        # move theta of the right factor to the front, past the left factors
-        odd_left = sum(f.parity for f in k1[2])
-        if odd_left % 2:
-            sign = -sign
-    sorted_ = _sort_factors(k1[2] + k2[2])
-    if sorted_ is None:
-        return None
-    s2, factors = sorted_
-    return sign * s2, (lam, theta, factors)
-
-
 class SymExpr:
     """A canonical multilinear differential polynomial.
 
     Immutable; all arithmetic returns new normalised expressions.  Terms with
-    equal ``(lam, theta, factors)`` structure are merged and zero coefficients
+    equal ``(lam, factors)`` structure are merged and zero coefficients
     dropped, so equality of canonical forms is dict equality.
     """
 
@@ -210,21 +196,20 @@ class SymExpr:
         coeff: ScalarLike,
         factors: Iterable[JetFactor] = (),
         lam: int = 0,
-        theta: int = 0,
     ) -> "SymExpr":
         coeff = Fraction(coeff)
         if coeff == 0:
             return _ZERO
-        return SymExpr({(lam, theta, tuple(factors)): coeff})
+        return SymExpr({(lam, tuple(factors)): coeff})
 
     @staticmethod
     def scalar(coeff: ScalarLike) -> "SymExpr":
         return SymExpr.monomial(coeff)
 
     @staticmethod
-    def from_terms(raw: Iterable[Tuple[ScalarLike, int, int, Tuple[JetFactor, ...]]]) -> "SymExpr":
-        """Sum of raw ``(coeff, lam, theta, factors)`` monomials."""
-        pairs = (((lam, theta, factors), coeff) for coeff, lam, theta, factors in raw)
+    def from_terms(raw: Iterable[Tuple[ScalarLike, int, Tuple[JetFactor, ...]]]) -> "SymExpr":
+        """Sum of raw ``(coeff, lam, factors)`` monomials."""
+        pairs = (((lam, factors), coeff) for coeff, lam, factors in raw)
         return SymExpr(_accumulate(_canonical(pairs)), _internal=True)
 
     # -- inspection --------------------------------------------------------
@@ -237,18 +222,18 @@ class SymExpr:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coefficient(self, factors: Iterable[JetFactor], lam: int = 0, theta: int = 0) -> Fraction:
+    def coefficient(self, factors: Iterable[JetFactor], lam: int = 0) -> Fraction:
         sorted_ = _sort_factors(factors)
         if sorted_ is None:
             return Fraction(0)
         sign, sf = sorted_
-        return sign * self._terms.get((lam, theta, sf), Fraction(0))
+        return sign * self._terms.get((lam, sf), Fraction(0))
 
     def parity(self) -> Optional[int]:
         """0/1 for homogeneous expressions, None when mixed.  Zero is even."""
         result: Optional[int] = None
-        for (lam, theta, factors), _ in self._terms.items():
-            p = (theta + sum(f.parity for f in factors)) % 2
+        for _lam, factors in self._terms:
+            p = sum(f.parity for f in factors) % 2
             if result is None:
                 result = p
             elif result != p:
@@ -256,7 +241,8 @@ class SymExpr:
         return EVEN if result is None else result
 
     def jet_factors(self) -> set:
-        return {f for key in self._terms for f in key[2]}
+        """The field jets of the expression; ``THETA`` is a coordinate, not a jet."""
+        return {f for _lam, factors in self._terms for f in factors if f != THETA}
 
     def filter_terms(self, keep: Callable[[TermKey, Fraction], bool]) -> "SymExpr":
         return SymExpr(
@@ -266,7 +252,7 @@ class SymExpr:
     def without_fields(self, symbols: Iterable[FieldSymbol]) -> "SymExpr":
         """Set every jet of the given fields to zero."""
         dead = set(symbols)
-        return self.filter_terms(lambda key, _c: not any(f.symbol in dead for f in key[2]))
+        return self.filter_terms(lambda key, _c: not any(f.symbol in dead for f in key[1]))
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other: "SymExpr") -> "SymExpr":
@@ -294,11 +280,12 @@ class SymExpr:
             return SymExpr({k: other * c for k, c in self._terms.items()}, _internal=True)
         if not isinstance(other, SymExpr):
             return NotImplemented
+        # the graded sign of a product is the sign of sorting the joined factors
         products = (
-            (res[1], res[0] * c1 * c2)
-            for k1, c1 in self._terms.items()
-            for k2, c2 in other._terms.items()
-            if (res := _mul_keys(k1, k2)) is not None
+            ((lam1 + lam2, res[1]), res[0] * c1 * c2)
+            for (lam1, f1), c1 in self._terms.items()
+            for (lam2, f2), c2 in other._terms.items()
+            if (res := _sort_factors(f1 + f2)) is not None
         )
         return SymExpr(_accumulate(products), _internal=True)
 
@@ -327,13 +314,11 @@ class SymExpr:
             return "0"
         parts = []
         for key, coeff in self.terms():
-            lam, theta, factors = key
+            lam, factors = key
             bits = []
             if lam:
                 bits.append(f"lam^{lam}" if lam != 1 else "lam")
-            if theta:
-                bits.append("th")
-            bits.extend(str(f) for f in factors)
+            bits.extend("th" if f == THETA else str(f) for f in factors)
             body = "*".join(bits) if bits else "1"
             if coeff == 1 and bits:
                 term = body
@@ -351,8 +336,9 @@ class SymExpr:
 
 
 def _term_sort_key(key: TermKey):
-    lam, theta, factors = key
-    return (lam, theta, tuple(f._key() for f in factors))
+    # theta-free terms come before theta terms of the same lam power
+    lam, factors = key
+    return (lam, factors[:1] == (THETA,), tuple(f._key() for f in factors))
 
 
 _ZERO = SymExpr({}, _internal=True)
@@ -374,4 +360,4 @@ def lam_power(k: int) -> SymExpr:
 
 def theta_factor() -> SymExpr:
     """The explicit odd coordinate as an expression."""
-    return SymExpr.monomial(1, (), theta=1)
+    return SymExpr.monomial(1, (THETA,))

@@ -4,6 +4,11 @@ Provides the total derivatives ``dx`` and ``dt``, the odd superderivative
 ``superD`` (an odd derivation squaring to ``dx``), theta-expansion and Berezin
 integration, jet substitution closed under prolongation, and first variations.
 
+``dx``, ``dt`` and ``superD`` share one Leibniz loop, ``_leibniz``: each maps
+a factor to a tuple of factors, and only ``superD`` takes the sign of the odd
+factors before it.  Substitution and first variations splice a replacement's
+terms into a monomial with ``_splice`` and canonicalise once.
+
 ``jet_derivative`` is the one routine that differentiates up to a jet's order
 (d/dt j times, then ``superD`` or ``dx`` k times).  Prolongation of a rule,
 the variation of a jet and the Euler operators of ``density`` all call it.
@@ -11,9 +16,10 @@ Rules and variations are checked by ``algebra.require_parity``.
 
 Conventions fixed here:
 
-* theta is constant in both x and t;
-* ``superD`` acts on a component field f as ``theta * f_x`` and on a
-  superspace jet by raising its odd-derivative order, reducing ``D*D`` to a
+* theta is the odd constant jet ``algebra.THETA``, so it is constant in both
+  x and t;
+* ``superD`` sends theta to 1, a component field f to ``theta * f_x`` and a
+  superspace jet to the jet of one more odd derivative, reducing ``D*D`` to a
   plain x-derivative;
 * substitution rules may be keyed on any jet of a field; the rule then covers
   every higher jet by differentiating the right-hand side (prolongation).
@@ -25,75 +31,75 @@ from fractions import Fraction
 from typing import Dict, Mapping, Tuple
 
 from .algebra import (
+    THETA,
     FieldSymbol,
     JetFactor,
     SymExpr,
     TermKey,
     _accumulate,
+    _canonical,
     require_parity,
     theta_factor,
 )
 
 
-def _derive_terms(e: SymExpr, raise_jet) -> SymExpr:
-    """Even derivation: Leibniz over factors, no graded signs."""
-    return SymExpr.from_terms(
-        (coeff, lam, theta, factors[:i] + (new,) + factors[i + 1 :])
-        for (lam, theta, factors), coeff in e._terms.items()
-        for i, f in enumerate(factors)
-        if not f.symbol.constant and (new := raise_jet(f)) is not None
-    )
+def _leibniz(e: SymExpr, image, graded: bool = False) -> SymExpr:
+    """Apply a derivation factor by factor: the Leibniz loop of ``dx``, ``dt`` and ``superD``.
+
+    Each monomial gives one term per factor, with that factor replaced by the
+    tuple ``image(factor)``; ``None`` gives no term.  A ``graded`` (odd)
+    derivation takes the sign of the odd factors before the one it replaces.
+    Canonicalisation sorts the new factors into place.
+    """
+
+    def raw():
+        for (lam, factors), coeff in e._terms.items():
+            odd_prefix = 0
+            for i, f in enumerate(factors):
+                new = image(f)
+                if new is not None:
+                    yield -coeff if odd_prefix else coeff, lam, factors[:i] + new + factors[i + 1 :]
+                if graded:
+                    odd_prefix ^= f.parity
+
+    return SymExpr.from_terms(raw())
 
 
 def dx(e: SymExpr) -> SymExpr:
     """Total x-derivative."""
-    return _derive_terms(e, lambda f: JetFactor(f.symbol, f.dx + 1, f.dt, f.dtheta))
+    return _leibniz(
+        e, lambda f: None if f.symbol.constant else (JetFactor(f.symbol, f.dx + 1, f.dt, f.dtheta),)
+    )
 
 
 def dt(e: SymExpr) -> SymExpr:
     """Total t-derivative."""
-    return _derive_terms(e, lambda f: JetFactor(f.symbol, f.dx, f.dt + 1, f.dtheta))
+    return _leibniz(
+        e, lambda f: None if f.symbol.constant else (JetFactor(f.symbol, f.dx, f.dt + 1, f.dtheta),)
+    )
+
+
+def _superD_image(f: JetFactor):
+    if f.symbol.constant:
+        return () if f == THETA else None
+    if f.symbol.superspace:
+        return (JetFactor(f.symbol, f.dx + f.dtheta, f.dt, 1 - f.dtheta),)
+    return (THETA, JetFactor(f.symbol, f.dx + 1, f.dt, 0))
 
 
 def superD(e: SymExpr) -> SymExpr:
     """Odd superderivative with the graded Leibniz rule; superD(superD(e)) == dx(e).
 
-    On a monomial ``theta**t * f1 * ... * fn`` each slot (the theta flag and
-    every factor) is differentiated in place with the sign of the odd prefix:
+    Each factor is replaced in turn, with the sign of the odd factors before it:
 
     * ``D(theta) = 1``;
     * a superspace jet gains one odd derivative (``D`` order + 1);
-    * a component field f contributes ``theta * f_x``; the freshly created
-      theta moves to the front past the same prefix, so the two signs cancel
-      and the term survives only when no theta was present.
+    * a component field f becomes ``theta * f_x``; moving that theta to the
+      front passes the same odd factors, so the two signs cancel, and the
+      term vanishes when a theta is already present;
+    * a constant gives no term.
     """
-
-    def raw():
-        for (lam, theta, factors), coeff in e._terms.items():
-            if theta:
-                # D(theta) = 1 with empty prefix
-                yield coeff, lam, 0, factors
-            prefix_parity = theta
-            for i, f in enumerate(factors):
-                if f.symbol.constant:
-                    prefix_parity ^= f.parity
-                    continue
-                if f.symbol.superspace:
-                    if f.dtheta:
-                        new = JetFactor(f.symbol, f.dx + 1, f.dt, 0)
-                    else:
-                        new = JetFactor(f.symbol, f.dx, f.dt, 1)
-                    sign = -1 if prefix_parity else 1
-                    yield sign * coeff, lam, theta, factors[:i] + (new,) + factors[i + 1 :]
-                else:
-                    # theta*f_x insertion: the Leibniz prefix sign and the sign of
-                    # moving theta to the front cancel; theta**2 = 0 kills the term
-                    if not theta:
-                        new = JetFactor(f.symbol, f.dx + 1, f.dt, 0)
-                        yield coeff, lam, 1, factors[:i] + (new,) + factors[i + 1 :]
-                prefix_parity ^= f.parity
-
-    return SymExpr.from_terms(raw())
+    return _leibniz(e, _superD_image, graded=True)
 
 
 def jet_derivative(e: SymExpr, dt_order: int, x_order: int, superspace: bool = False) -> SymExpr:
@@ -128,15 +134,10 @@ class SuperfieldExpr:
 
 
 def theta_expand(e: SymExpr) -> SuperfieldExpr:
-    """Split ``e = body + theta*soul``."""
-    body: Dict[TermKey, Fraction] = {}
-    soul: Dict[TermKey, Fraction] = {}
-    for (lam, theta, factors), coeff in e._terms.items():
-        if theta:
-            soul[(lam, 0, factors)] = coeff
-        else:
-            body[(lam, 0, factors)] = coeff
-    return SuperfieldExpr(SymExpr(body, _internal=True), SymExpr(soul, _internal=True))
+    """Split ``e = body + theta*soul``; a theta term's factors start with ``THETA``."""
+    soul = {(lam, fs[1:]): c for (lam, fs), c in e._terms.items() if fs[:1] == (THETA,)}
+    body = e.filter_terms(lambda key, _c: key[1][:1] != (THETA,))
+    return SuperfieldExpr(body, SymExpr(soul, _internal=True))
 
 
 def berezin(e: SymExpr) -> SymExpr:
@@ -155,6 +156,15 @@ class SubstitutionError(ValueError):
 def _applicable(factor: JetFactor, key: JetFactor) -> bool:
     """Is ``factor`` a jet of ``key`` (a prolongation of it, or itself)?"""
     return factor.symbol == key.symbol and factor.dt >= key.dt and _order(factor) >= _order(key)
+
+
+def _splice(key: TermKey, coeff: Fraction, i: int, repl: SymExpr):
+    """Canonical terms of the monomial ``key`` with factor ``i`` replaced by ``repl``."""
+    lam, factors = key
+    return _canonical(
+        ((lam + r_lam, factors[:i] + r_factors + factors[i + 1 :]), coeff * r_coeff)
+        for (r_lam, r_factors), r_coeff in repl._terms.items()
+    )
 
 
 def _prolong(rhs: SymExpr, key: JetFactor, factor: JetFactor,
@@ -189,7 +199,8 @@ def substitute(
         work = list(e._terms.items())
         budget = max_rewrites
         while work:
-            (lam, theta, factors), coeff = work.pop()
+            mono, coeff = work.pop()
+            factors = mono[1]
             hit = None
             for i, f in enumerate(factors):
                 for key in keys:
@@ -199,16 +210,13 @@ def substitute(
                 if hit:
                     break
             if hit is None:
-                yield (lam, theta, factors), coeff
+                yield mono, coeff
                 continue
             budget -= 1
             if budget < 0:
                 raise SubstitutionError("substitution did not terminate (rule cycle?)")
             i, key = hit
-            repl = _prolong(rules[key], key, factors[i], cache)
-            prefix = SymExpr.monomial(coeff, factors[:i], lam=lam, theta=theta)
-            suffix = SymExpr.monomial(1, factors[i + 1 :])
-            work.extend((prefix * repl * suffix)._terms.items())
+            work.extend(_splice(mono, coeff, i, _prolong(rules[key], key, factors[i], cache)))
 
     return SymExpr(_accumulate(settled()), _internal=True)
 
@@ -229,12 +237,11 @@ def first_variation(e: SymExpr, variations: Mapping[FieldSymbol, SymExpr]) -> Sy
             cache[f] = jet_derivative(variations[f.symbol], f.dt, _order(f), f.symbol.superspace)
         return cache[f]
 
-    total = SymExpr.zero()
-    for (lam, theta, factors), coeff in e._terms.items():
-        for i, f in enumerate(factors):
-            if f.symbol not in variations:
-                continue
-            prefix = SymExpr.monomial(coeff, factors[:i], lam=lam, theta=theta)
-            suffix = SymExpr.monomial(1, factors[i + 1 :])
-            total = total + prefix * _delta_jet(f) * suffix
-    return total
+    spliced = (
+        term
+        for key, coeff in e._terms.items()
+        for i, f in enumerate(key[1])
+        if f.symbol in variations
+        for term in _splice(key, coeff, i, _delta_jet(f))
+    )
+    return SymExpr(_accumulate(spliced), _internal=True)

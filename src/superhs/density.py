@@ -16,9 +16,10 @@ forms, and it is pinned
 by tests before any dependent check runs.
 
 ``canonical_density`` computes a genuine normal form: within each finite
-sector (fixed field content, theta flag, lam power and total x-order) the
-subspace of exact terms is spanned by derivatives of the one-lower sector, and
-the integrand is reduced against that span by exact Gaussian elimination.
+sector (fixed lam power, field content and total x-order; theta is an odd
+constant factor, so it is part of the field content) the subspace of exact
+terms is spanned by derivatives of the one-lower sector, and the integrand is
+reduced against that span by exact Gaussian elimination.
 Monomials concentrating derivatives on few factors are eliminated first, so
 one integration by parts sends ``u*u_xx`` to ``-u_x**2``.  That sparse
 eliminator, ``_reduce_against``, is the only one in the package: the flux
@@ -64,8 +65,8 @@ def _dx_integrand(density: "Density | SymExpr", caller: str) -> SymExpr:
 
 
 def _coefficient_vector(e: SymExpr) -> Dict[Tuple[JetFactor, ...], Fraction]:
-    """Coefficients keyed by factor tuple, for ``e`` of one lam power and theta flag."""
-    return {factors: c for (_lam, _theta, factors), c in e._terms.items()}
+    """Coefficients keyed by factor tuple, for ``e`` of one lam power."""
+    return {factors: c for (_lam, factors), c in e._terms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -80,12 +81,12 @@ def partial_jet(e: SymExpr, jet: JetFactor) -> SymExpr:
     """
 
     def stripped():
-        for (lam, theta, factors), coeff in e._terms.items():
+        for (lam, factors), coeff in e._terms.items():
             for i, f in enumerate(factors):
                 if f == jet:
                     # removing one factor keeps the tuple canonical
                     sign = -1 if f.parity and sum(g.parity for g in factors[i + 1 :]) % 2 else 1
-                    yield (lam, theta, factors[:i] + factors[i + 1 :]), sign * coeff
+                    yield (lam, factors[:i] + factors[i + 1 :]), sign * coeff
 
     return SymExpr(_accumulate(stripped()), _internal=True)
 
@@ -145,7 +146,7 @@ def is_total_x_derivative(e: SymExpr) -> bool:
     if e.is_zero():
         return True
     pairs = set()
-    for (lam, theta, factors), _coeff in e._terms.items():
+    for _lam, factors in e._terms:
         genuine = [f for f in factors if not f.symbol.constant]
         if not genuine:
             return False  # field-free terms have a nonzero mean
@@ -176,10 +177,10 @@ def densities_equal(d1: Density, d2: Density) -> bool:
 
 
 def _sector_of(key: TermKey):
-    lam, theta, factors = key
+    lam, factors = key
     profile = tuple(sorted((f.symbol.name, f.symbol, f.dt) for f in factors))
     total = sum(f.dx for f in factors)
-    return (lam, theta, profile), total
+    return (lam, profile), total
 
 
 def window_monomials(
@@ -287,11 +288,9 @@ def canonical_density(density: "Density | SymExpr") -> SymExpr:
     sectors: Dict[Tuple, Dict[int, Dict[Tuple[JetFactor, ...], Fraction]]] = {}
     for key, coeff in e._terms.items():
         (head, total) = _sector_of(key)
-        sectors.setdefault(head, {}).setdefault(total, {})[key[2]] = coeff
+        sectors.setdefault(head, {}).setdefault(total, {})[key[1]] = coeff
     result = SymExpr.zero()
-    for (lam, theta, profile), by_total in sorted(
-        sectors.items(), key=lambda kv: (kv[0][0], kv[0][1], str(kv[0][2]))
-    ):
+    for (lam, profile), by_total in sorted(sectors.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
         slots = [(sym, dt_order) for (_name, sym, dt_order) in profile]
         for total, target in sorted(by_total.items()):
             generators = []
@@ -302,5 +301,5 @@ def canonical_density(density: "Density | SymExpr") -> SymExpr:
                         generators.append(vec)
             reduced = _reduce_against(target, generators)
             for factors, coeff in reduced.items():
-                result = result + SymExpr.monomial(coeff, factors, lam=lam, theta=theta)
+                result = result + SymExpr.monomial(coeff, factors, lam=lam)
     return result

@@ -11,13 +11,12 @@ one row per mask of its parity, in ``even_masks(N)``/``odd_masks(N)`` order
 (``mask_row`` gives a mask's row), and whose trailing axes, if any, index
 points.  ``gmul_stack`` multiplies two stacks; ``numerics``, which evaluates
 expressions and integrates the system on stacks, uses it and no other
-product.  ``gmul`` multiplies one point at a time and serves the tests as a
-reference.  Parities are the 0/1 of ``algebra.EVEN``/``algebra.ODD``.
+product.  Parities are the 0/1 of ``algebra.EVEN``/``algebra.ODD``.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -66,7 +65,7 @@ def _product_table(n_generators: int, parity_a: int, parity_b: int) -> Tuple[int
 def gmul_stack(
     a: np.ndarray, parity_a: int, b: np.ndarray, parity_b: int, n_generators: int
 ) -> np.ndarray:
-    """Pointwise product of two level stacks of ``Lambda_N``, with ``gmul``'s signs.
+    """Pointwise product of two level stacks of ``Lambda_N``, with ``merge_sign``'s signs.
 
     Rows follow ``even_masks(N)`` (parity 0) or ``odd_masks(N)`` (parity 1);
     the result is the stack of parity ``parity_a ^ parity_b``.
@@ -79,21 +78,6 @@ def gmul_stack(
             out[row_out] += a[row_a] * b[row_b]
         else:
             out[row_out] -= a[row_a] * b[row_b]
-    return out
-
-
-def gmul(a: Mapping[int, float], b: Mapping[int, float]) -> Dict[int, float]:
-    """Product of two ``{mask: coeff}`` elements at one point, mask by mask.
-
-    The package multiplies with ``gmul_stack``; this loop is the independent
-    reference the tests compare it against.
-    """
-    out: Dict[int, float] = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            sign = merge_sign(ma, mb)
-            if sign:
-                out[ma | mb] = out.get(ma | mb, 0.0) + sign * ca * cb
     return out
 
 

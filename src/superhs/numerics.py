@@ -36,7 +36,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
-from .algebra import EVEN, JetFactor, ParityError, SymExpr
+from .algebra import EVEN, THETA, JetFactor, ParityError, SymExpr
 from .grassmann import even_masks, gmul_stack, mask_row, odd_masks
 from .structures import XI, U, geodesic_system, hamiltonian_densities
 
@@ -220,8 +220,8 @@ def _float_terms(exprs: Sequence[SymExpr]) -> Tuple[list, list]:
     for expr in exprs:
         if expr.parity() is None:
             raise ParityError("cannot evaluate a mixed-parity expression")
-        for (lam, theta, factors), _ in expr.terms():
-            if lam or theta:
+        for (lam, factors), _ in expr.terms():
+            if lam or THETA in factors:
                 raise ValueError("cannot evaluate expressions containing lam or theta")
             jets.update(factors or (None,))
     for f in jets - {None}:
@@ -234,7 +234,7 @@ def _float_terms(exprs: Sequence[SymExpr]) -> Tuple[list, list]:
         last, *rest = [(index[f], f.parity) for f in reversed(factors)] or [(index[None], EVEN)]
         return (float(coeff), *last, tuple(rest))
 
-    return slots, [[float_term(key[2], c) for key, c in expr.terms()] for expr in exprs]
+    return slots, [[float_term(key[1], c) for key, c in expr.terms()] for expr in exprs]
 
 
 def _sum_products(terms: list, stacks: Sequence[np.ndarray], n_generators: int) -> np.ndarray:

@@ -13,15 +13,18 @@ Grammar (whitespace-separated s-expressions)::
     NAME    := identifier (no whitespace or parentheses)
 
 A jet atom carries the full symbol declaration, so a parsed expression is
-self-contained; round-tripping preserves canonical form exactly.  The zero
+self-contained; one name declared with two parities or kinds is rejected.
+The ``(theta)`` atom stands for ``algebra.THETA``, which is printed before the
+jets; its position in a parsed term carries no sign, and a repeated one gives
+a zero term.  Round-tripping preserves canonical form exactly.  The zero
 expression serialises as ``(sum)``.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
-from .algebra import EVEN, ODD, FieldSymbol, JetFactor, SymExpr
+from .algebra import EVEN, ODD, THETA, FieldSymbol, JetFactor, SymExpr
 
 
 class SExprError(ValueError):
@@ -42,13 +45,14 @@ def _number(kind, token):
 
 def to_sexpr(e: SymExpr) -> str:
     parts: List[str] = []
-    for (lam, theta, factors), coeff in e.terms():
+    for (lam, factors), coeff in e.terms():
         atoms = []
         if lam:
             atoms.append(f"(lam {lam})")
-        if theta:
-            atoms.append("(theta)")
         for f in factors:
+            if f == THETA:
+                atoms.append("(theta)")
+                continue
             parity = "odd" if f.symbol.parity else "even"
             kind = "super" if f.symbol.superspace else ("const" if f.symbol.constant else "field")
             atoms.append(f"(jet {f.symbol.name} {parity} {kind} {f.dx} {f.dt} {f.dtheta})")
@@ -89,6 +93,7 @@ def from_sexpr(text: str) -> SymExpr:
     if not tree or tree[0] != "sum":
         raise SExprError("expression must start with (sum ...)")
     total = SymExpr.zero()
+    declared: Dict[str, FieldSymbol] = {}
     for term in tree[1:]:
         if not isinstance(term, list) or not term or term[0] != "term":
             raise SExprError("expected (term ...)")
@@ -96,7 +101,6 @@ def from_sexpr(text: str) -> SymExpr:
             raise SExprError("term needs a coefficient")
         coeff = _number(Fraction, term[1])
         lam = 0
-        theta = 0
         factors = []
         for atom in term[2:]:
             if not isinstance(atom, list) or not atom:
@@ -108,7 +112,7 @@ def from_sexpr(text: str) -> SymExpr:
             elif atom[0] == "theta":
                 if len(atom) != 1:
                     raise SExprError(f"theta atom takes no argument, got {atom}")
-                theta += 1
+                factors.insert(0, THETA)
             elif atom[0] == "jet":
                 if len(atom) != 7:
                     raise SExprError(f"jet atom needs 6 fields, got {atom}")
@@ -121,6 +125,8 @@ def from_sexpr(text: str) -> SymExpr:
                     superspace=(kind == "super"),
                     constant=(kind == "const"),
                 )
+                if declared.setdefault(name, sym) != sym:
+                    raise SExprError(f"{name!r} is declared with two parities or kinds")
                 orders = [_number(int, token) for token in (dx_s, dt_s, dth_s)]
                 try:
                     factors.append(JetFactor(sym, *orders))
@@ -128,7 +134,5 @@ def from_sexpr(text: str) -> SymExpr:
                     raise SExprError(f"invalid jet {atom}: {exc}") from None
             else:
                 raise SExprError(f"unknown atom {atom[0]!r}")
-        if theta > 1:
-            continue  # theta**2 = 0
-        total = total + SymExpr.monomial(coeff, factors, lam=lam, theta=theta)
+        total = total + SymExpr.monomial(coeff, factors, lam=lam)
     return total

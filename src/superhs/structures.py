@@ -35,6 +35,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 from .algebra import (
     EVEN,
     ODD,
+    THETA,
     FieldSymbol,
     JetFactor,
     SymExpr,
@@ -613,10 +614,10 @@ def lax_compatibility(ansatz: LaxAnsatz) -> Dict[str, SymExpr]:
         SUPER_G.jet(dtheta=1): "DG",
         SUPER_G.jet(dx=1): "Gx",
     }
-    for (lam, theta, factors), coeff in compat._terms.items():
+    for (lam, factors), coeff in compat._terms.items():
         g_jets = [f for f in factors if f.symbol == SUPER_G]
         if len(g_jets) != 1 or g_jets[0] not in basis:
-            offender = SymExpr.monomial(coeff, factors, lam=lam, theta=theta)
+            offender = SymExpr.monomial(coeff, factors, lam=lam)
             raise LaxBasisError(f"monomial outside reduction basis: {offender}")
     return {name: partial_jet(compat, jet) for jet, name in basis.items()}
 
@@ -752,7 +753,7 @@ def check_recursion(failures: Failures) -> None:
 
 def _droppable(key) -> bool:
     """Terms whose x-integral vanishes by the zero-mean gauge: const * p or const * q."""
-    lam, theta, factors = key
+    _lam, factors = key
     velocity = [f for f in factors if f.symbol in (P_VEL, Q_VEL)]
     others = [f for f in factors if f.symbol not in (P_VEL, Q_VEL)]
     return (
@@ -779,8 +780,8 @@ def _flux_certificate(target: SymExpr, rules: Mapping[JetFactor, SymExpr]) -> bo
             images[fs] = substitute(dx(SymExpr.monomial(1, fs)), rules)
 
     def add_candidates(e: SymExpr) -> None:
-        for (lam, theta, factors), _c in e._terms.items():
-            if lam or theta:
+        for lam, factors in e._terms:
+            if lam or THETA in factors:
                 raise ValueError("flux certificates expect lam- and theta-free input")
             total = sum(f.dx for f in factors)
             if total:
@@ -807,7 +808,7 @@ def _flux_certificate(target: SymExpr, rules: Mapping[JetFactor, SymExpr]) -> bo
     # generators: the pool images plus one unit vector per droppable monomial in play
     keys = set(target._terms).union(*(img._terms for img in images.values()))
     generators = [_coefficient_vector(img) for img in images.values()]
-    generators += [{k[2]: Fraction(1)} for k in keys if _droppable(k)]
+    generators += [{k[1]: Fraction(1)} for k in keys if _droppable(k)]
     return not _reduce_against(_coefficient_vector(target), generators)
 
 

@@ -1,10 +1,12 @@
-"""Shared generators for seeded property tests."""
+"""Shared generators for seeded property tests, and the tests' reference product."""
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Dict, Mapping
 
-from superhs.algebra import EVEN, ODD, FieldSymbol, SymExpr
+from superhs.algebra import EVEN, ODD, THETA, FieldSymbol, SymExpr
+from superhs.grassmann import merge_sign
 
 U = FieldSymbol("u", EVEN)
 V = FieldSymbol("v", EVEN)
@@ -24,8 +26,9 @@ def random_monomial(rng: random.Random, allow_theta: bool = True) -> SymExpr:
         else:
             sym = rng.choice(_ODD_POOL)
         factors.append(sym.jet(dx=rng.randint(0, 3), dt=rng.randint(0, 1)))
-    theta = 1 if (allow_theta and rng.random() < 0.3) else 0
-    return SymExpr.monomial(rng.choice(_COEFFS), factors, theta=theta)
+    if allow_theta and rng.random() < 0.3:
+        factors.insert(0, THETA)
+    return SymExpr.monomial(rng.choice(_COEFFS), factors)
 
 
 def random_expr(rng: random.Random, n_terms: int = 3, allow_theta: bool = True) -> SymExpr:
@@ -42,7 +45,7 @@ def random_homogeneous(rng: random.Random, parity: int, allow_theta: bool = Fals
         if not candidate.is_zero() and candidate.parity() == parity:
             return candidate
         filtered = candidate.filter_terms(
-            lambda key, _c: (key[1] + sum(f.parity for f in key[2])) % 2 == parity
+            lambda key, _c: sum(f.parity for f in key[1]) % 2 == parity
         )
         if not filtered.is_zero():
             return filtered
@@ -59,3 +62,18 @@ def random_x_poly(rng: random.Random, fields, max_dx: int = 3, n_terms: int = 3)
             factors.append(sym.jet(dx=rng.randint(0, max_dx)))
         total = total + SymExpr.monomial(rng.choice(_COEFFS), factors)
     return total
+
+
+def gmul(a: Mapping[int, float], b: Mapping[int, float]) -> Dict[int, float]:
+    """Product of two ``{mask: coeff}`` elements of ``Lambda_N`` at one point, mask by mask.
+
+    The package multiplies with ``grassmann.gmul_stack``; this loop is the
+    independent reference the tests compare it against.
+    """
+    out: Dict[int, float] = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            sign = merge_sign(ma, mb)
+            if sign:
+                out[ma | mb] = out.get(ma | mb, 0.0) + sign * ca * cb
+    return out

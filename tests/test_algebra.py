@@ -50,6 +50,8 @@ def test_theta_moves_with_sign():
     # phi * theta = -theta * phi
     assert phi() * theta_factor() == -(theta_factor() * phi())
     assert u() * theta_factor() == theta_factor() * u()
+    assert (theta_factor() * u()).jet_factors() == {u.jet()}
+    assert str(theta_factor() * u()) == "th*u"
 
 
 def test_parity_detection():
@@ -82,13 +84,13 @@ def test_canonical_form_stable_under_rebuild():
     for _ in range(50):
         e = random_expr(rng)
         rebuilt = SymExpr.zero()
-        for (lam, theta, factors), coeff in e.terms():
-            rebuilt = rebuilt + SymExpr.monomial(coeff, factors, lam=lam, theta=theta)
+        for (lam, factors), coeff in e.terms():
+            rebuilt = rebuilt + SymExpr.monomial(coeff, factors, lam=lam)
         assert rebuilt == e
 
 
 def _assert_canonical(e):
-    for (lam, theta, factors), coeff in e._terms.items():
+    for (lam, factors), coeff in e._terms.items():
         assert type(coeff) is Fraction and coeff != 0
         assert _sort_factors(factors) == (1, factors)
 
@@ -104,12 +106,12 @@ def test_stored_terms_are_canonical_and_nonzero_randomized():
         for e in cancelled + [a * b, (a + b) * (a - b), dx(a * b), superD(a), substitute(a, rule)]:
             _assert_canonical(e)
     # raw constructors: unsorted factors, integer coefficients, terms that cancel
-    raw = [(2, 0, 0, (xi.jet(), phi.jet())), (2, 0, 0, (phi.jet(), xi.jet())),
-           (3, 1, 0, (v.jet(), u.jet())), (0, 0, 0, (u.jet(),))]
+    raw = [(2, 0, (xi.jet(), phi.jet())), (2, 0, (phi.jet(), xi.jet())),
+           (3, 1, (v.jet(), u.jet())), (0, 0, (u.jet(),))]
     built = SymExpr.from_terms(raw)
     _assert_canonical(built)
     assert built == 3 * lam_power(1) * u() * v()
-    mapped = SymExpr({(0, 0, (xi.jet(), u.jet())): 1, (0, 0, (u.jet(), xi.jet())): -1})
+    mapped = SymExpr({(0, (xi.jet(), u.jet())): 1, (0, (u.jet(), xi.jet())): -1})
     assert mapped.is_zero()
 
 
@@ -145,6 +147,7 @@ def test_sexpr_roundtrip_handcrafted():
         + SymExpr.scalar(7)
     )
     assert from_sexpr(to_sexpr(e)) == e
+    assert from_sexpr("(sum (term 1 (jet xi odd field 0 0 0) (theta)))") == theta_factor() * xi()
 
 
 def test_sexpr_roundtrip_randomized():
@@ -174,6 +177,8 @@ def test_sexpr_rejects_garbage():
         "(sum (term 1 (jet u even const 1 0 0)))",
         "(sum (term 1 (jet u even field 0 0 1)))",
         "(sum (term 1 (theta 7)))",
+        "(sum (term 1 (jet u even field 0 0 0) (jet u odd field 0 0 0)))",
+        "(sum (term 1 (jet u even field 0 0 0)) (term 1 (jet u even const 0 0 0)))",
     ):
         with pytest.raises(SExprError):
             from_sexpr(text)

@@ -270,7 +270,7 @@ def test_variational_derivative_matches_finite_differences():
     def functional(values):
         terms = {u.jet(): values, u.jet(dx=1): _spectral_dx(values), u.jet(dx=2): _spectral_dx(values, 2)}
         total = np.zeros(n)
-        for (lam, theta, factors), coeff in density.terms():
+        for (lam, factors), coeff in density.terms():
             prod = float(coeff) * np.ones(n)
             for f in factors:
                 prod = prod * terms[f]
@@ -286,7 +286,7 @@ def test_variational_derivative_matches_finite_differences():
         u.jet(dx=4): _spectral_dx(base, 4),
     }
     symbolic = np.zeros(n)
-    for (lam, theta, factors), coeff in grad_expr.terms():
+    for (lam, factors), coeff in grad_expr.terms():
         prod = float(coeff) * np.ones(n)
         for f in factors:
             prod = prod * bindings[f]

@@ -6,12 +6,13 @@ import pytest
 from superhs.algebra import EVEN, ODD
 from superhs.grassmann import (
     even_masks,
-    gmul,
     gmul_stack,
     mask_row,
     merge_sign,
     odd_masks,
 )
+
+from helpers import gmul
 
 
 def eta(i, n=2):

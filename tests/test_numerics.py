@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from superhs.algebra import EVEN, ODD, FieldSymbol, ParityError, SymExpr, lam_power, theta_factor
-from superhs.grassmann import even_masks, gmul, gmul_stack, mask_row, odd_masks
+from superhs.grassmann import even_masks, gmul_stack, mask_row, odd_masks
 from superhs.numerics import (
     BlowUpError,
     GridState,
@@ -23,6 +23,8 @@ from superhs.numerics import (
     write_series_csv,
     write_state_csv,
 )
+
+from helpers import gmul
 
 
 def bosonic_cos_state(n=256):
