@@ -14,8 +14,11 @@ Expressions live in the jets of declared field symbols over the coordinates
 A monomial is ``coeff * lam**k * f1 * f2 * ... * fn`` with the jet factors
 (``THETA`` among them) kept in a fixed total order; reordering during
 canonicalisation flips the sign once per transposition of two odd factors,
-and a repeated odd factor kills the monomial.  Coefficients are exact
-rationals: verification verdicts must be exact zeros, never small residuals.
+and a repeated odd factor kills the monomial.  Jets are interned, one object
+per ``(symbol, dx, dt, dtheta)``, so jet equality is identity; a jet's sort
+key, hash and parity are computed once, when it is first built.  Coefficients
+are exact rationals, and signs stay inside them by negation: verification
+verdicts must be exact zeros, never small residuals.
 
 ``lam`` is a formal commuting indeterminate with integer (possibly negative)
 powers; it stands in for the spectral parameter so that identities are checked
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Hashable, Iterable, Iterator, Mapping, Optional, Tuple, Union
+from typing import Callable, ClassVar, Dict, Hashable, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 EVEN = 0
 ODD = 1
@@ -70,37 +73,60 @@ class FieldSymbol:
         return self.name
 
 
-@dataclass(frozen=True)
 class JetFactor:
-    """One derivative coordinate of a field inside a monomial."""
+    """One derivative coordinate of a field inside a monomial.
 
-    symbol: FieldSymbol
-    dx: int = 0
-    dt: int = 0
-    dtheta: int = 0
+    Interned: there is one object per ``(symbol, dx, dt, dtheta)``, so equality
+    is identity.  The inputs are checked, and the parity, the sort key and the
+    hash computed, once, when a jet is first built; the hash is that of the
+    ``(symbol, dx, dt, dtheta)`` tuple, so set orders follow the jet's value.
+    """
 
-    def __post_init__(self):
-        if self.dx < 0 or self.dt < 0:
+    __slots__ = ("symbol", "dx", "dt", "dtheta", "parity", "sort_key", "_hash")
+    _table: ClassVar[Dict[tuple, "JetFactor"]] = {}
+
+    def __new__(cls, symbol: FieldSymbol, dx: int = 0, dt: int = 0, dtheta: int = 0) -> "JetFactor":
+        ident = (symbol, dx, dt, dtheta)
+        jet = cls._table.get(ident)
+        if jet is not None:
+            return jet
+        if dx < 0 or dt < 0:
             raise ValueError("derivative orders must be nonnegative")
-        if self.dtheta not in (0, 1):
+        if dtheta not in (0, 1):
             raise ValueError("dtheta must be 0 or 1")
-        if self.dtheta and not self.symbol.superspace:
-            raise ValueError(f"{self.symbol.name} does not depend on theta")
-        if self.symbol.constant and (self.dx or self.dt or self.dtheta):
-            raise ValueError(f"{self.symbol.name} is constant; no jets exist")
+        if dtheta and not symbol.superspace:
+            raise ValueError(f"{symbol.name} does not depend on theta")
+        if symbol.constant and (dx or dt or dtheta):
+            raise ValueError(f"{symbol.name} is constant; no jets exist")
+        jet = object.__new__(cls)
+        for name, value in (
+            ("symbol", symbol), ("dx", dx), ("dt", dt), ("dtheta", dtheta),
+            # an odd derivative flips the parity of a superspace field
+            ("parity", symbol.parity ^ dtheta),
+            # the symbol's parity and kind break ties between symbols sharing a name
+            ("sort_key", (symbol.name, symbol.parity, symbol.superspace, symbol.constant, dt, dx, dtheta)),
+            ("_hash", hash(ident)),
+        ):
+            object.__setattr__(jet, name, value)
+        return cls._table.setdefault(ident, jet)
 
-    @property
-    def parity(self) -> int:
-        # an odd derivative flips the parity of a superspace field
-        return self.symbol.parity ^ self.dtheta
+    def __setattr__(self, name, value):
+        raise AttributeError("JetFactor is immutable")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # unpickling and deep copies return the interned object
+        return JetFactor, (self.symbol, self.dx, self.dt, self.dtheta)
 
     @property
     def d_order(self) -> int:
         """Total odd-derivative order: D**(2*dx + dtheta) applied to the field."""
         return 2 * self.dx + self.dtheta
 
-    def _key(self):
-        return (self.symbol.name, self.dt, self.dx, self.dtheta)
+    def __repr__(self) -> str:
+        return f"JetFactor(symbol={self.symbol!r}, dx={self.dx!r}, dt={self.dt!r}, dtheta={self.dtheta!r})"
 
     def __str__(self) -> str:
         suffix = "t" * self.dt + "x" * self.dx + "D" * self.dtheta
@@ -123,14 +149,17 @@ def _sort_factors(factors: Iterable[JetFactor]) -> Optional[Tuple[int, Tuple[Jet
     lst = list(factors)
     sign = 1
     for i in range(1, len(lst)):
+        cur = lst[i]
+        key = cur.sort_key
         j = i
-        while j > 0 and lst[j]._key() < lst[j - 1]._key():
-            if lst[j].parity and lst[j - 1].parity:
+        while j > 0 and key < lst[j - 1].sort_key:
+            if cur.parity and lst[j - 1].parity:
                 sign = -sign
-            lst[j], lst[j - 1] = lst[j - 1], lst[j]
+            lst[j] = lst[j - 1]
             j -= 1
+        lst[j] = cur
     for prev, cur in zip(lst, lst[1:]):
-        if prev == cur and prev.parity:
+        if prev is cur and prev.parity:
             return None
     return sign, tuple(lst)
 
@@ -143,7 +172,8 @@ def _canonical(pairs: Iterable[Tuple[TermKey, ScalarLike]]) -> Iterator[Tuple[Te
     for (lam, factors), coeff in pairs:
         sorted_ = _sort_factors(factors)
         if sorted_ is not None:
-            yield (lam, sorted_[1]), sorted_[0] * Fraction(coeff)
+            c = Fraction(coeff)
+            yield (lam, sorted_[1]), (c if sorted_[0] > 0 else -c)
 
 
 def _accumulate(pairs: Iterable[Tuple[Hashable, Fraction]], acc: Optional[dict] = None) -> dict:
@@ -156,7 +186,8 @@ def _accumulate(pairs: Iterable[Tuple[Hashable, Fraction]], acc: Optional[dict] 
     if acc is None:
         acc = {}
     for key, coeff in pairs:
-        cur = acc.get(key, 0) + coeff
+        cur = acc.get(key)
+        cur = coeff if cur is None else cur + coeff
         if cur:
             acc[key] = cur
         else:
@@ -227,7 +258,8 @@ class SymExpr:
         if sorted_ is None:
             return Fraction(0)
         sign, sf = sorted_
-        return sign * self._terms.get((lam, sf), Fraction(0))
+        c = self._terms.get((lam, sf), Fraction(0))
+        return c if sign > 0 else -c
 
     def parity(self) -> Optional[int]:
         """0/1 for homogeneous expressions, None when mixed.  Zero is even."""
@@ -282,7 +314,7 @@ class SymExpr:
             return NotImplemented
         # the graded sign of a product is the sign of sorting the joined factors
         products = (
-            ((lam1 + lam2, res[1]), res[0] * c1 * c2)
+            ((lam1 + lam2, res[1]), (c1 * c2 if res[0] > 0 else -(c1 * c2)))
             for (lam1, f1), c1 in self._terms.items()
             for (lam2, f2), c2 in other._terms.items()
             if (res := _sort_factors(f1 + f2)) is not None
@@ -338,7 +370,7 @@ class SymExpr:
 def _term_sort_key(key: TermKey):
     # theta-free terms come before theta terms of the same lam power
     lam, factors = key
-    return (lam, factors[:1] == (THETA,), tuple(f._key() for f in factors))
+    return (lam, factors[:1] == (THETA,), tuple(f.sort_key for f in factors))
 
 
 _ZERO = SymExpr({}, _internal=True)

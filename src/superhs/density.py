@@ -219,7 +219,7 @@ def window_monomials(
             acc.pop()
 
     rec(0, total_dx, 0, [])
-    return sorted(set(out), key=lambda fs: tuple(f._key() for f in fs))
+    return sorted(set(out), key=lambda fs: tuple(f.sort_key for f in fs))
 
 
 def _elimination_key(factors: Tuple[JetFactor, ...]):
@@ -227,7 +227,7 @@ def _elimination_key(factors: Tuple[JetFactor, ...]):
     # eliminated in favour of spread-out ones (u*u_xx -> -u_x**2)
     return (
         tuple(sorted((f.dx for f in factors), reverse=True)),
-        tuple(f._key() for f in factors),
+        tuple(f.sort_key for f in factors),
     )
 
 

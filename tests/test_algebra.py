@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -117,12 +119,53 @@ def test_stored_terms_are_canonical_and_nonzero_randomized():
 
 def test_jet_validation():
     const = FieldSymbol("c", EVEN, constant=True)
-    with pytest.raises(ValueError):
+    g = FieldSymbol("G", EVEN, superspace=True)
+    # valid jets of each symbol exist first: an interned jet must not let a bad one through
+    const.jet(), u.jet(), u.jet(dx=1), g.jet(dtheta=1)
+    with pytest.raises(ValueError, match="c is constant; no jets exist"):
         JetFactor(const, dx=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="u does not depend on theta"):
         JetFactor(u, dtheta=1)  # not a superspace field
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="derivative orders must be nonnegative"):
         JetFactor(u, dx=-1)
+    with pytest.raises(ValueError, match="dtheta must be 0 or 1"):
+        JetFactor(g, dtheta=2)
+
+
+def test_jets_are_interned():
+    jet = u.jet(dx=1)
+    assert jet is JetFactor(u, 1)
+    assert FieldSymbol("u", EVEN).jet(dx=1) is jet
+    assert FieldSymbol("u", EVEN)(dx=1) == u(dx=1)
+    assert hash(jet) == hash((u, 1, 0, 0))
+    with pytest.raises(AttributeError):
+        jet.dx = 2
+    assert copy.deepcopy(jet) is jet
+    assert pickle.loads(pickle.dumps(jet)) is jet
+
+
+def test_kernel_outputs_hold_interned_jets():
+    def assert_interned(e):
+        for _lam, factors in e._terms:
+            for f in factors:
+                assert JetFactor(f.symbol, f.dx, f.dt, f.dtheta) is f
+
+    g = FieldSymbol("G", EVEN, superspace=True)
+    rng = random.Random(13)
+    rule = {u.jet(dx=1): v() * v(dx=1) - u(), xi.jet(dx=1): phi() * v()}
+    for _ in range(20):
+        e = random_expr(rng) + g(dtheta=1) * xi()
+        for out in (from_sexpr(to_sexpr(e)), dx(e), superD(e), substitute(e, rule)):
+            assert_interned(out)
+
+
+def test_same_name_symbols_of_different_kind_are_distinct_factors():
+    kinds = [FieldSymbol("u", EVEN), FieldSymbol("u", ODD),
+             FieldSymbol("u", EVEN, superspace=True), FieldSymbol("u", ODD, constant=True)]
+    for a in kinds:
+        for b in kinds:
+            sign = -1 if (a.parity and b.parity) else 1
+            assert (a() * b() - sign * (b() * a())).is_zero(), (a, b)
 
 
 def test_coefficient_lookup():

@@ -46,7 +46,7 @@ def _lines(exprs) -> str:
 def _seed_outputs(seed: int):
     rng = random.Random(seed)
     a, b = random_expr(rng), random_expr(rng)
-    jets = sorted(a.jet_factors(), key=lambda f: f._key())
+    jets = sorted(a.jet_factors(), key=lambda f: f.sort_key)
     return {
         "+": to_sexpr(a + b),
         "-": to_sexpr(a - b),
