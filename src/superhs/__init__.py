@@ -5,6 +5,10 @@ derivation, bi-Hamiltonian formulation, supersymmetry, superspace form,
 Lax-pair compatibility, recursion eigenrelations, conservation laws) on top of
 an embedded graded differential-polynomial engine, plus a pseudospectral
 integrator on the circle with Grassmann-valued fields.
+
+The integrator's names (``evolve``, ``evaluate``, ``SolverConfig``, ...) are
+imported from ``superhs.numerics`` when first used, so ``import superhs``
+alone does not load numpy.
 """
 from .algebra import (
     EVEN,
@@ -36,19 +40,6 @@ from .density import (
     is_total_x_derivative,
     variational_derivative,
 )
-from .numerics import (
-    BlowUpError,
-    GridState,
-    SolverConfig,
-    Trajectory,
-    conserved_quantities,
-    evaluate,
-    evolve,
-    initial_state,
-    residual_check,
-    rhs_once_integrated,
-    step,
-)
 from .reporting import TOOL_VERSION, CheckResult, VerificationReport
 from .sexpr import from_sexpr, to_sexpr
 from .structures import (
@@ -71,3 +62,30 @@ from .structures import (
 )
 
 __version__ = TOOL_VERSION
+
+# served by the module ``__getattr__`` (PEP 562)
+_NUMERIC = frozenset({
+    "BlowUpError",
+    "GridState",
+    "SolverConfig",
+    "Trajectory",
+    "conserved_quantities",
+    "evaluate",
+    "evolve",
+    "initial_state",
+    "residual_check",
+    "rhs_once_integrated",
+    "step",
+})
+
+
+def __getattr__(name):
+    if name in _NUMERIC:
+        from . import numerics
+
+        return getattr(numerics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _NUMERIC)

@@ -16,8 +16,15 @@ A monomial is ``coeff * lam**k * f1 * f2 * ... * fn`` with the jet factors
 canonicalisation flips the sign once per transposition of two odd factors,
 and a repeated odd factor kills the monomial.  Jets are interned, one object
 per ``(symbol, dx, dt, dtheta)``, so jet equality is identity; a jet's sort
-key, hash and parity are computed once, when it is first built.  Coefficients
-are exact rationals, and signs stay inside them by negation: verification
+key, hash and parity are computed once, when it is first built.
+
+Coefficients are exact rationals, stored as integer numerators over one
+positive denominator per expression, in lowest terms: the numerators are
+nonzero and ``gcd(den, *numerators) == 1``, so the zero expression is ``({},
+1)`` and every expression has one stored form.  The product, sum and
+derivation loops therefore run on Python integers, signs stay inside the
+numerators by negation, and ``Fraction`` is built only where a coefficient
+leaves the kernel (``terms``, ``coefficient``, display).  Verification
 verdicts must be exact zeros, never small residuals.
 
 ``lam`` is a formal commuting indeterminate with integer (possibly negative)
@@ -31,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, ClassVar, Dict, Hashable, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 EVEN = 0
@@ -164,24 +172,25 @@ def _sort_factors(factors: Iterable[JetFactor]) -> Optional[Tuple[int, Tuple[Jet
     return sign, tuple(lst)
 
 
-def _canonical(pairs: Iterable[Tuple[TermKey, ScalarLike]]) -> Iterator[Tuple[TermKey, Fraction]]:
-    """Canonical ``(key, coeff)`` pairs from keys with unsorted factors.
+def _canonical(pairs: Iterable[Tuple[TermKey, int]]) -> Iterator[Tuple[TermKey, int]]:
+    """Canonical ``(key, numerator)`` pairs from keys with unsorted factors.
 
     Monomials that vanish (a repeated odd factor) are dropped.
     """
-    for (lam, factors), coeff in pairs:
+    for (lam, factors), num in pairs:
         sorted_ = _sort_factors(factors)
         if sorted_ is not None:
-            c = Fraction(coeff)
-            yield (lam, sorted_[1]), (c if sorted_[0] > 0 else -c)
+            yield (lam, sorted_[1]), (num if sorted_[0] > 0 else -num)
 
 
-def _accumulate(pairs: Iterable[Tuple[Hashable, Fraction]], acc: Optional[dict] = None) -> dict:
+def _accumulate(pairs: Iterable[Tuple[Hashable, ScalarLike]], acc: Optional[dict] = None) -> dict:
     """Sum ``(key, coeff)`` pairs into ``acc`` (a new dict when omitted) and return it.
 
     The one normalise-and-accumulate loop of the symbolic kernel: equal keys
     merge and a key whose sum cancels to zero is removed, so no zero
-    coefficient is ever stored.  Keys must already be canonical.
+    coefficient is ever stored.  Keys must already be canonical.  The kernel
+    sums integer numerators with it; the exact eliminator of ``density``,
+    rational rows.
     """
     if acc is None:
         acc = {}
@@ -195,24 +204,48 @@ def _accumulate(pairs: Iterable[Tuple[Hashable, Fraction]], acc: Optional[dict] 
     return acc
 
 
+def _reduced(nums: Dict[TermKey, int], den: int) -> "SymExpr":
+    """The expression ``nums / den`` (canonical keys, nonzero numerators, ``den > 0``).
+
+    Brings the pair to lowest terms with one gcd over the numerators; the
+    dict is taken over, not copied.
+    """
+    if not nums:
+        return _ZERO
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {k: n // g for k, n in nums.items()}
+            den //= g
+    e = object.__new__(SymExpr)
+    object.__setattr__(e, "_terms", nums)
+    object.__setattr__(e, "_den", den)
+    return e
+
+
+def _from_rationals(pairs: Iterable[Tuple[TermKey, ScalarLike]]) -> "SymExpr":
+    """The sum of rational ``(key, coeff)`` pairs whose factors may be unsorted."""
+    pairs = [(key, Fraction(c)) for key, c in pairs]
+    den = lcm(*(c.denominator for _key, c in pairs))
+    nums = ((key, c.numerator * (den // c.denominator)) for key, c in pairs)
+    return _reduced(_accumulate(_canonical(nums)), den)
+
+
 class SymExpr:
     """A canonical multilinear differential polynomial.
 
     Immutable; all arithmetic returns new normalised expressions.  Terms with
     equal ``(lam, factors)`` structure are merged and zero coefficients
-    dropped, so equality of canonical forms is dict equality.
+    dropped, and the integer numerators ``_terms`` share the denominator
+    ``_den`` in lowest terms, so equality of canonical forms is equality of
+    the dict and the denominator.  ``SymExpr(terms)`` builds one from any
+    mapping of keys (factors in any order) to rational coefficients.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
-    def __init__(self, terms: Optional[Mapping[TermKey, Fraction]] = None, _internal: bool = False):
-        if terms is None:
-            data: Dict[TermKey, Fraction] = {}
-        elif _internal:
-            data = terms  # a fresh canonical dict built by the caller
-        else:
-            data = _accumulate(_canonical(terms.items()))
-        object.__setattr__(self, "_terms", data)
+    def __new__(cls, terms: Optional[Mapping[TermKey, ScalarLike]] = None) -> "SymExpr":
+        return _from_rationals(terms.items()) if terms else _ZERO
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("SymExpr is immutable")
@@ -228,10 +261,7 @@ class SymExpr:
         factors: Iterable[JetFactor] = (),
         lam: int = 0,
     ) -> "SymExpr":
-        coeff = Fraction(coeff)
-        if coeff == 0:
-            return _ZERO
-        return SymExpr({(lam, tuple(factors)): coeff})
+        return _from_rationals((((lam, tuple(factors)), coeff),))
 
     @staticmethod
     def scalar(coeff: ScalarLike) -> "SymExpr":
@@ -240,12 +270,15 @@ class SymExpr:
     @staticmethod
     def from_terms(raw: Iterable[Tuple[ScalarLike, int, Tuple[JetFactor, ...]]]) -> "SymExpr":
         """Sum of raw ``(coeff, lam, factors)`` monomials."""
-        pairs = (((lam, factors), coeff) for coeff, lam, factors in raw)
-        return SymExpr(_accumulate(_canonical(pairs)), _internal=True)
+        return _from_rationals(((lam, factors), coeff) for coeff, lam, factors in raw)
 
     # -- inspection --------------------------------------------------------
     def terms(self) -> Iterator[Tuple[TermKey, Fraction]]:
-        return iter(sorted(self._terms.items(), key=lambda kv: _term_sort_key(kv[0])))
+        den = self._den
+        return (
+            (key, Fraction(n, den))
+            for key, n in sorted(self._terms.items(), key=lambda kv: _term_sort_key(kv[0]))
+        )
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -258,8 +291,7 @@ class SymExpr:
         if sorted_ is None:
             return Fraction(0)
         sign, sf = sorted_
-        c = self._terms.get((lam, sf), Fraction(0))
-        return c if sign > 0 else -c
+        return Fraction(sign * self._terms.get((lam, sf), 0), self._den)
 
     def parity(self) -> Optional[int]:
         """0/1 for homogeneous expressions, None when mixed.  Zero is even."""
@@ -277,9 +309,8 @@ class SymExpr:
         return {f for _lam, factors in self._terms for f in factors if f != THETA}
 
     def filter_terms(self, keep: Callable[[TermKey, Fraction], bool]) -> "SymExpr":
-        return SymExpr(
-            {k: c for k, c in self._terms.items() if keep(k, c)}, _internal=True
-        )
+        den = self._den
+        return _reduced({k: n for k, n in self._terms.items() if keep(k, Fraction(n, den))}, den)
 
     def without_fields(self, symbols: Iterable[FieldSymbol]) -> "SymExpr":
         """Set every jet of the given fields to zero."""
@@ -294,10 +325,13 @@ class SymExpr:
             return other
         if not other._terms:
             return self
-        return SymExpr(_accumulate(other._terms.items(), dict(self._terms)), _internal=True)
+        den = lcm(self._den, other._den)
+        s1, s2 = den // self._den, den // other._den
+        acc = {k: n * s1 for k, n in self._terms.items()} if s1 != 1 else dict(self._terms)
+        return _reduced(_accumulate(((k, n * s2) for k, n in other._terms.items()), acc), den)
 
     def __neg__(self) -> "SymExpr":
-        return SymExpr({k: -c for k, c in self._terms.items()}, _internal=True)
+        return _reduced({k: -n for k, n in self._terms.items()}, self._den)
 
     def __sub__(self, other: "SymExpr") -> "SymExpr":
         if not isinstance(other, SymExpr):
@@ -308,18 +342,18 @@ class SymExpr:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return _ZERO
-            other = Fraction(other)
-            return SymExpr({k: other * c for k, c in self._terms.items()}, _internal=True)
+            p, q = other.numerator, other.denominator
+            return _reduced({k: p * n for k, n in self._terms.items()}, q * self._den)
         if not isinstance(other, SymExpr):
             return NotImplemented
         # the graded sign of a product is the sign of sorting the joined factors
         products = (
-            ((lam1 + lam2, res[1]), (c1 * c2 if res[0] > 0 else -(c1 * c2)))
-            for (lam1, f1), c1 in self._terms.items()
-            for (lam2, f2), c2 in other._terms.items()
+            ((lam1 + lam2, res[1]), (n1 * n2 if res[0] > 0 else -(n1 * n2)))
+            for (lam1, f1), n1 in self._terms.items()
+            for (lam2, f2), n2 in other._terms.items()
             if (res := _sort_factors(f1 + f2)) is not None
         )
-        return SymExpr(_accumulate(products), _internal=True)
+        return _reduced(_accumulate(products), self._den * other._den)
 
     def __rmul__(self, other: ScalarLike) -> "SymExpr":
         if isinstance(other, (int, Fraction)):
@@ -335,10 +369,10 @@ class SymExpr:
         return out
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SymExpr) and self._terms == other._terms
+        return isinstance(other, SymExpr) and self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((frozenset(self._terms.items()), self._den))
 
     # -- display -------------------------------------------------------------
     def __str__(self) -> str:
@@ -373,7 +407,9 @@ def _term_sort_key(key: TermKey):
     return (lam, factors[:1] == (THETA,), tuple(f.sort_key for f in factors))
 
 
-_ZERO = SymExpr({}, _internal=True)
+_ZERO = object.__new__(SymExpr)
+object.__setattr__(_ZERO, "_terms", {})
+object.__setattr__(_ZERO, "_den", 1)
 
 
 def require_parity(e: SymExpr, parity: int, what: str) -> None:

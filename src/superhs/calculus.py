@@ -27,7 +27,7 @@ Conventions fixed here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 from typing import Dict, Mapping, Tuple
 
 from .algebra import (
@@ -38,6 +38,7 @@ from .algebra import (
     TermKey,
     _accumulate,
     _canonical,
+    _reduced,
     require_parity,
     theta_factor,
 )
@@ -49,20 +50,21 @@ def _leibniz(e: SymExpr, image, graded: bool = False) -> SymExpr:
     Each monomial gives one term per factor, with that factor replaced by the
     tuple ``image(factor)``; ``None`` gives no term.  A ``graded`` (odd)
     derivation takes the sign of the odd factors before the one it replaces.
-    Canonicalisation sorts the new factors into place.
+    Canonicalisation sorts the new factors into place.  A derivation has
+    integer coefficients, so the result keeps the denominator of ``e``.
     """
 
     def raw():
-        for (lam, factors), coeff in e._terms.items():
+        for (lam, factors), num in e._terms.items():
             odd_prefix = 0
             for i, f in enumerate(factors):
                 new = image(f)
                 if new is not None:
-                    yield -coeff if odd_prefix else coeff, lam, factors[:i] + new + factors[i + 1 :]
+                    yield (lam, factors[:i] + new + factors[i + 1 :]), -num if odd_prefix else num
                 if graded:
                     odd_prefix ^= f.parity
 
-    return SymExpr.from_terms(raw())
+    return _reduced(_accumulate(_canonical(raw())), e._den)
 
 
 def dx(e: SymExpr) -> SymExpr:
@@ -135,9 +137,13 @@ class SuperfieldExpr:
 
 def theta_expand(e: SymExpr) -> SuperfieldExpr:
     """Split ``e = body + theta*soul``; a theta term's factors start with ``THETA``."""
-    soul = {(lam, fs[1:]): c for (lam, fs), c in e._terms.items() if fs[:1] == (THETA,)}
-    body = e.filter_terms(lambda key, _c: key[1][:1] != (THETA,))
-    return SuperfieldExpr(body, SymExpr(soul, _internal=True))
+    body, soul = {}, {}
+    for (lam, fs), num in e._terms.items():
+        if fs[:1] == (THETA,):
+            soul[lam, fs[1:]] = num
+        else:
+            body[lam, fs] = num
+    return SuperfieldExpr(_reduced(body, e._den), _reduced(soul, e._den))
 
 
 def berezin(e: SymExpr) -> SymExpr:
@@ -158,22 +164,29 @@ def _applicable(factor: JetFactor, key: JetFactor) -> bool:
     return factor.symbol == key.symbol and factor.dt >= key.dt and _order(factor) >= _order(key)
 
 
-def _splice(key: TermKey, coeff: Fraction, i: int, repl: SymExpr):
-    """Canonical terms of the monomial ``key`` with factor ``i`` replaced by ``repl``."""
+def _splice(key: TermKey, num: int, i: int, repl: Dict[TermKey, int]):
+    """Canonical terms of the monomial ``key`` with factor ``i`` replaced by the terms ``repl``."""
     lam, factors = key
     return _canonical(
-        ((lam + r_lam, factors[:i] + r_factors + factors[i + 1 :]), coeff * r_coeff)
-        for (r_lam, r_factors), r_coeff in repl._terms.items()
+        ((lam + r_lam, factors[:i] + r_factors + factors[i + 1 :]), num * r_num)
+        for (r_lam, r_factors), r_num in repl.items()
     )
 
 
-def _prolong(rhs: SymExpr, key: JetFactor, factor: JetFactor,
-             cache: Dict[Tuple[JetFactor, int, int], SymExpr]) -> SymExpr:
+def _over(e: SymExpr, den: int) -> Dict[TermKey, int]:
+    """The numerators of ``e`` over ``den``, a multiple of its denominator."""
+    scale = den // e._den
+    return {k: n * scale for k, n in e._terms.items()}
+
+
+def _prolong(rhs: SymExpr, key: JetFactor, factor: JetFactor, den: int,
+             cache: Dict[Tuple[JetFactor, int, int], Dict[TermKey, int]]) -> Dict[TermKey, int]:
+    """The numerators over ``den`` of the rule ``key -> rhs`` prolonged to ``factor``."""
     dts = factor.dt - key.dt
     steps = _order(factor) - _order(key)
     ck = (key, dts, steps)
     if ck not in cache:
-        cache[ck] = jet_derivative(rhs, dts, steps, factor.symbol.superspace)
+        cache[ck] = _over(jet_derivative(rhs, dts, steps, factor.symbol.superspace), den)
     return cache[ck]
 
 
@@ -192,33 +205,36 @@ def substitute(
     for key, rhs in rules.items():
         require_parity(rhs, key.parity, f"substitution for {key}")
     keys = sorted(rules, key=lambda k: (k.dt, _order(k)), reverse=True)
-    cache: Dict[Tuple[JetFactor, int, int], SymExpr] = {}
-
-    def settled():
-        """Yield every monomial that no rule rewrites, expanding the others."""
-        work = list(e._terms.items())
-        budget = max_rewrites
-        while work:
-            mono, coeff = work.pop()
-            factors = mono[1]
-            hit = None
-            for i, f in enumerate(factors):
-                for key in keys:
-                    if _applicable(f, key):
-                        hit = (i, key)
-                        break
-                if hit:
+    # a prolongation keeps the denominator of its rule, so every replacement
+    # is taken over ``den``, each rewrite multiplies a monomial's denominator
+    # by it, and every denominator divides the largest one
+    den = lcm(*(rhs._den for rhs in rules.values()))
+    cache: Dict[Tuple[JetFactor, int, int], Dict[TermKey, int]] = {}
+    settled = []  # (denominator, monomial, numerator) of the monomials no rule rewrites
+    work = [(e._den, mono, num) for mono, num in e._terms.items()]
+    budget = max_rewrites
+    while work:
+        item = d, mono, num = work.pop()
+        factors = mono[1]
+        hit = None
+        for i, f in enumerate(factors):
+            for key in keys:
+                if _applicable(f, key):
+                    hit = (i, key)
                     break
-            if hit is None:
-                yield mono, coeff
-                continue
-            budget -= 1
-            if budget < 0:
-                raise SubstitutionError("substitution did not terminate (rule cycle?)")
-            i, key = hit
-            work.extend(_splice(mono, coeff, i, _prolong(rules[key], key, factors[i], cache)))
-
-    return SymExpr(_accumulate(settled()), _internal=True)
+            if hit:
+                break
+        if hit is None:
+            settled.append(item)
+            continue
+        budget -= 1
+        if budget < 0:
+            raise SubstitutionError("substitution did not terminate (rule cycle?)")
+        i, key = hit
+        repl = _prolong(rules[key], key, factors[i], den, cache)
+        work.extend((d * den, m, n) for m, n in _splice(mono, num, i, repl))
+    top = max((d for d, _mono, _num in settled), default=1)
+    return _reduced(_accumulate((mono, num * (top // d)) for d, mono, num in settled), top)
 
 
 def first_variation(e: SymExpr, variations: Mapping[FieldSymbol, SymExpr]) -> SymExpr:
@@ -230,18 +246,21 @@ def first_variation(e: SymExpr, variations: Mapping[FieldSymbol, SymExpr]) -> Sy
     """
     for sym, delta in variations.items():
         require_parity(delta, sym.parity, f"variation of {sym.name}")
-    cache: Dict[JetFactor, SymExpr] = {}
+    den = lcm(*(delta._den for delta in variations.values()))
+    cache: Dict[JetFactor, Dict[TermKey, int]] = {}
 
-    def _delta_jet(f: JetFactor) -> SymExpr:
+    def _delta_jet(f: JetFactor) -> Dict[TermKey, int]:
+        """The numerators over ``den`` of the variation of the jet ``f``."""
         if f not in cache:
-            cache[f] = jet_derivative(variations[f.symbol], f.dt, _order(f), f.symbol.superspace)
+            delta = jet_derivative(variations[f.symbol], f.dt, _order(f), f.symbol.superspace)
+            cache[f] = _over(delta, den)
         return cache[f]
 
     spliced = (
         term
-        for key, coeff in e._terms.items()
+        for key, num in e._terms.items()
         for i, f in enumerate(key[1])
         if f.symbol in variations
-        for term in _splice(key, coeff, i, _delta_jet(f))
+        for term in _splice(key, num, i, _delta_jet(f))
     )
-    return SymExpr(_accumulate(spliced), _internal=True)
+    return _reduced(_accumulate(spliced), e._den * den)

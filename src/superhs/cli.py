@@ -1,7 +1,10 @@
 """Command-line entry point: run verification suites, simulations, and reports.
 
-Exit codes: 0 success, 1 check failure, 2 usage/configuration error,
-3 simulation blow-up.
+Exit codes: 0 success, 1 check failure, 2 usage/configuration error
+(including an output path that cannot be written), 3 simulation blow-up.
+
+The solver modules, and numpy with them, are imported only by ``simulate``,
+so ``verify`` and ``report`` run on the pure-Python symbolic layer.
 """
 from __future__ import annotations
 
@@ -12,17 +15,6 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
-from .grassmann import even_masks
-from .numerics import (
-    BlowUpError,
-    evolve,
-    initial_state,
-    load_config,
-    mask_label,
-    residual_check,
-    write_series_csv,
-    write_state_csv,
-)
 from .reporting import (
     CheckResult,
     VerificationReport,
@@ -77,13 +69,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = VerificationReport(entries=entries, metadata=make_metadata(config_hash))
     _print_table(entries)
     if args.out:
-        write_atomic(args.out, report.to_json())
+        try:
+            write_atomic(args.out, report.to_json())
+        except OSError as exc:
+            print(f"error: cannot write report {args.out}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         print(f"report written to {args.out}")
     return EXIT_OK if report.all_passed() else EXIT_CHECK_FAILED
 
 
 def _drift_summary(traj) -> dict:
     """Per-level drift of H1 and H2: the body and every level nonzero in some sample."""
+    from .grassmann import even_masks
+    from .numerics import mask_label
+
     out = {}
     for name in ("h1", "h2"):
         for row, m in enumerate(even_masks(traj.final.n_grassmann)):
@@ -102,13 +101,27 @@ def _drift_summary(traj) -> dict:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .numerics import (
+        BlowUpError,
+        evolve,
+        initial_state,
+        load_config,
+        residual_check,
+        write_series_csv,
+        write_state_csv,
+    )
+
     try:
         cfg, init_spec = load_config(args.config)
         state0 = initial_state(init_spec, cfg)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: bad configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory {args.out_dir}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     summary: dict = {"config": args.config, "n_grassmann": cfg.n_grassmann}
     try:
         traj = evolve(state0, cfg)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .algebra import ODD, FieldSymbol, JetFactor, SymExpr, TermKey, _accumulate, _sort_factors
+from .algebra import ODD, FieldSymbol, JetFactor, SymExpr, TermKey, _accumulate, _reduced, _sort_factors
 from .calculus import berezin, dx, jet_derivative
 
 
@@ -66,7 +66,7 @@ def _dx_integrand(density: "Density | SymExpr", caller: str) -> SymExpr:
 
 def _coefficient_vector(e: SymExpr) -> Dict[Tuple[JetFactor, ...], Fraction]:
     """Coefficients keyed by factor tuple, for ``e`` of one lam power."""
-    return {factors: c for (_lam, factors), c in e._terms.items()}
+    return {factors: Fraction(n, e._den) for (_lam, factors), n in e._terms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -81,14 +81,14 @@ def partial_jet(e: SymExpr, jet: JetFactor) -> SymExpr:
     """
 
     def stripped():
-        for (lam, factors), coeff in e._terms.items():
+        for (lam, factors), num in e._terms.items():
             for i, f in enumerate(factors):
                 if f == jet:
                     # removing one factor keeps the tuple canonical
                     sign = -1 if f.parity and sum(g.parity for g in factors[i + 1 :]) % 2 else 1
-                    yield (lam, factors[:i] + factors[i + 1 :]), sign * coeff
+                    yield (lam, factors[:i] + factors[i + 1 :]), sign * num
 
-    return SymExpr(_accumulate(stripped()), _internal=True)
+    return _reduced(_accumulate(stripped()), e._den)
 
 
 def _check_component_only(e: SymExpr) -> None:
@@ -286,9 +286,9 @@ def canonical_density(density: "Density | SymExpr") -> SymExpr:
     e = _dx_integrand(density, "canonical_density")
     _check_component_only(e)
     sectors: Dict[Tuple, Dict[int, Dict[Tuple[JetFactor, ...], Fraction]]] = {}
-    for key, coeff in e._terms.items():
+    for key, num in e._terms.items():
         (head, total) = _sector_of(key)
-        sectors.setdefault(head, {}).setdefault(total, {})[key[1]] = coeff
+        sectors.setdefault(head, {}).setdefault(total, {})[key[1]] = Fraction(num, e._den)
     result = SymExpr.zero()
     for (lam, profile), by_total in sorted(sectors.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
         slots = [(sym, dt_order) for (_name, sym, dt_order) in profile]

@@ -614,7 +614,7 @@ def lax_compatibility(ansatz: LaxAnsatz) -> Dict[str, SymExpr]:
         SUPER_G.jet(dtheta=1): "DG",
         SUPER_G.jet(dx=1): "Gx",
     }
-    for (lam, factors), coeff in compat._terms.items():
+    for (lam, factors), coeff in compat.terms():
         g_jets = [f for f in factors if f.symbol == SUPER_G]
         if len(g_jets) != 1 or g_jets[0] not in basis:
             offender = SymExpr.monomial(coeff, factors, lam=lam)

@@ -1,11 +1,17 @@
-"""Shared generators for seeded property tests, and the tests' reference product."""
+"""Shared generators for seeded property tests, and the tests' reference implementations.
+
+``gmul`` is the reference Grassmann product.  The ``ref_*`` functions are the
+reference for the symbolic kernel: an expression is a dict ``{(lam, factors):
+Fraction}`` with sorted factors and no zero coefficient, and every operation
+is a plain loop on ``Fraction`` values.
+"""
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, Mapping
+from typing import Callable, Dict, Mapping
 
-from superhs.algebra import EVEN, ODD, THETA, FieldSymbol, SymExpr
+from superhs.algebra import EVEN, ODD, THETA, FieldSymbol, JetFactor, SymExpr, _sort_factors
 from superhs.grassmann import merge_sign
 
 U = FieldSymbol("u", EVEN)
@@ -77,3 +83,95 @@ def gmul(a: Mapping[int, float], b: Mapping[int, float]) -> Dict[int, float]:
             if sign:
                 out[ma | mb] = out.get(ma | mb, 0.0) + sign * ca * cb
     return out
+
+
+def ref_of(e: SymExpr) -> dict:
+    """An expression's coefficients as a reference dict."""
+    return dict(e.terms())
+
+
+def _ref_sum(pairs) -> dict:
+    """Reference dict of ``((lam, factors), coeff)`` pairs whose factors may be unsorted."""
+    out: dict = {}
+    for (lam, factors), coeff in pairs:
+        sorted_ = _sort_factors(factors)
+        if sorted_ is not None:
+            key = (lam, sorted_[1])
+            out[key] = out.get(key, Fraction(0)) + sorted_[0] * Fraction(coeff)
+    return {k: c for k, c in out.items() if c}
+
+
+def ref_add(a: dict, b: dict) -> dict:
+    return _ref_sum([*a.items(), *b.items()])
+
+
+def ref_scale(a: dict, s) -> dict:
+    return _ref_sum((k, s * c) for k, c in a.items())
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    return _ref_sum(
+        ((lam1 + lam2, f1 + f2), c1 * c2) for (lam1, f1), c1 in a.items() for (lam2, f2), c2 in b.items()
+    )
+
+
+def ref_dx_image(f: JetFactor):
+    return None if f.symbol.constant else (JetFactor(f.symbol, f.dx + 1, f.dt, f.dtheta),)
+
+
+def ref_dt_image(f: JetFactor):
+    return None if f.symbol.constant else (JetFactor(f.symbol, f.dx, f.dt + 1, f.dtheta),)
+
+
+def ref_superD_image(f: JetFactor):
+    if f is THETA:
+        return ()
+    if f.symbol.constant:
+        return None
+    if f.symbol.superspace:
+        return (JetFactor(f.symbol, f.dx + f.dtheta, f.dt, 1 - f.dtheta),)
+    return (THETA, JetFactor(f.symbol, f.dx + 1, f.dt, 0))
+
+
+def ref_derive(a: dict, image: Callable, graded: bool = False) -> dict:
+    """Leibniz rule: each factor in turn replaced by ``image(factor)`` (``None``: no term).
+
+    A graded (odd) derivation takes the sign of the odd factors before the one it replaces.
+    """
+
+    def terms():
+        for (lam, factors), coeff in a.items():
+            sign = 1
+            for i, f in enumerate(factors):
+                new = image(f)
+                if new is not None:
+                    yield (lam, factors[:i] + new + factors[i + 1 :]), sign * coeff
+                if graded and f.parity:
+                    sign = -sign
+
+    return _ref_sum(terms())
+
+
+def ref_substitute(a: dict, rules: Dict[JetFactor, dict]) -> dict:
+    """Rewrite component-field jets until no rule applies; at most one rule per field."""
+    settled = []
+    work = list(a.items())
+    while work:
+        (lam, factors), coeff = work.pop()
+        for i, f in enumerate(factors):
+            key = next((k for k in rules if k.symbol == f.symbol and f.dx >= k.dx and f.dt >= k.dt), None)
+            if key is not None:
+                break
+        else:
+            settled.append(((lam, factors), coeff))
+            continue
+        repl = rules[key]
+        for _ in range(f.dt - key.dt):
+            repl = ref_derive(repl, ref_dt_image)
+        for _ in range(f.dx - key.dx):
+            repl = ref_derive(repl, ref_dx_image)
+        work.extend(_ref_sum(
+            ((lam + r_lam, factors[:i] + r_factors + factors[i + 1 :]), coeff * r_coeff)
+            for (r_lam, r_factors), r_coeff in repl.items()
+        ).items())
+    return _ref_sum(settled)

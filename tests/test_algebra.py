@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -92,9 +93,16 @@ def test_canonical_form_stable_under_rebuild():
 
 
 def _assert_canonical(e):
-    for (lam, factors), coeff in e._terms.items():
-        assert type(coeff) is Fraction and coeff != 0
+    # integer numerators over one positive denominator, in lowest terms; zero is ({}, 1)
+    assert type(e._den) is int and e._den > 0
+    assert gcd(e._den, *e._terms.values()) == 1
+    for (lam, factors), num in e._terms.items():
+        assert type(num) is int and num != 0
         assert _sort_factors(factors) == (1, factors)
+    # rationals leave the kernel as Fraction
+    for (lam, factors), coeff in e.terms():
+        assert type(coeff) is Fraction and coeff == Fraction(e._terms[lam, factors], e._den)
+        assert type(e.coefficient(factors, lam)) is Fraction and e.coefficient(factors, lam) == coeff
 
 
 def test_stored_terms_are_canonical_and_nonzero_randomized():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from superhs import cli
+from superhs import numerics
 from superhs.cli import main
 from superhs.reporting import VerificationReport
 
@@ -52,6 +52,13 @@ def test_verify_unknown_suite_exits_2(capsys):
 
 def test_verify_empty_suite_exits_2():
     assert main(["verify", "--suite", ""]) == 2
+
+
+def test_verify_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert main(["verify", "--suite", "bracket", "--out", str(out)]) == 2
+    assert f"error: cannot write report {out}" in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 def test_verify_all_runs_ten_checks(tmp_path):
@@ -140,7 +147,7 @@ def test_simulate_rejects_bad_settings_exits_2(tmp_path, capsys, monkeypatch, ov
     def no_state(*_args):
         raise AssertionError("a rejected config must not build a state")
 
-    monkeypatch.setattr(cli, "initial_state", no_state)
+    monkeypatch.setattr(numerics, "initial_state", no_state)
     cfg = write_config(tmp_path / "cfg.json", **overrides)
     assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
@@ -176,6 +183,15 @@ def test_simulate_non_object_config_exits_2(tmp_path, capsys):
     bad.write_text("[1, 2]")
     assert main(["simulate", "--config", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
     assert "must be a JSON object" in capsys.readouterr().err
+
+
+def test_simulate_out_dir_under_a_file_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json")
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    out_dir = regular / "out"
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+    assert f"error: cannot create output directory {out_dir}" in capsys.readouterr().err
 
 
 def test_simulate_missing_config_exits_2(tmp_path):

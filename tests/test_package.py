@@ -1,8 +1,15 @@
-"""Package-level structure: module layering and the single version number."""
+"""Package-level structure: module layering, lazy solver imports and the single version number."""
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+import superhs
+from superhs import numerics
 from superhs.reporting import TOOL_VERSION
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,6 +39,34 @@ def test_symbolic_modules_import_no_numerics():
     for module in SYMBOLIC:
         bad = _imported_modules(PACKAGE / f"{module}.py") & NUMERIC
         assert not bad, f"superhs.{module} imports {sorted(bad)}"
+
+
+def test_verify_loads_no_numpy():
+    code = (
+        "import sys\n"
+        "from superhs.cli import main\n"
+        "assert main(['verify', '--suite', 'bracket']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'verify imported numpy'\n"
+        # negative control: the first numeric name loads the solver
+        "import superhs\n"
+        "superhs.evolve\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
+def test_solver_names_stay_importable_from_the_package():
+    names = ("BlowUpError", "GridState", "SolverConfig", "Trajectory", "conserved_quantities",
+             "evaluate", "evolve", "initial_state", "residual_check", "rhs_once_integrated", "step")
+    for name in names:
+        assert getattr(superhs, name) is getattr(numerics, name)
+        assert name in dir(superhs)
+    from superhs import evaluate, evolve  # noqa: F401
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        superhs.no_such_name
 
 
 def test_pyproject_version_is_the_tool_version():
