@@ -31,9 +31,7 @@ from .calculus import (
     theta_expand,
 )
 from .density import (
-    Density,
     canonical_density,
-    densities_equal,
     equals_mod_dx,
     euler_x,
     euler_xt,

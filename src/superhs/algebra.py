@@ -250,6 +250,10 @@ class SymExpr:
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("SymExpr is immutable")
 
+    def __reduce__(self):
+        # copies and unpickling rebuild through the one constructor, so zero is ``_ZERO``
+        return _reduced, (dict(self._terms), self._den)
+
     # -- constructors ------------------------------------------------------
     @staticmethod
     def zero() -> "SymExpr":
@@ -266,11 +270,6 @@ class SymExpr:
     @staticmethod
     def scalar(coeff: ScalarLike) -> "SymExpr":
         return SymExpr.monomial(coeff)
-
-    @staticmethod
-    def from_terms(raw: Iterable[Tuple[ScalarLike, int, Tuple[JetFactor, ...]]]) -> "SymExpr":
-        """Sum of raw ``(coeff, lam, factors)`` monomials."""
-        return _from_rationals(((lam, factors), coeff) for coeff, lam, factors in raw)
 
     # -- inspection --------------------------------------------------------
     def terms(self) -> Iterator[Tuple[TermKey, Fraction]]:

@@ -40,7 +40,6 @@ from .algebra import (
     _canonical,
     _reduced,
     require_parity,
-    theta_factor,
 )
 
 
@@ -130,9 +129,6 @@ class SuperfieldExpr:
 
     body: SymExpr
     soul: SymExpr
-
-    def reconstruct(self) -> SymExpr:
-        return self.body + theta_factor() * self.soul
 
 
 def theta_expand(e: SymExpr) -> SuperfieldExpr:

@@ -129,18 +129,26 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         summary["status"] = "blowup"
         summary["blowup_time"] = exc.time
         summary["diagnostics"] = exc.diagnostics
-        write_atomic(os.path.join(args.out_dir, "summary.json"), json.dumps(summary, indent=2))
+        try:
+            write_atomic(os.path.join(args.out_dir, "summary.json"), json.dumps(summary, indent=2))
+        except OSError as write_exc:
+            print(f"error: cannot write output in {args.out_dir}: {write_exc}", file=sys.stderr)
+            return EXIT_USAGE
         print(f"simulation aborted: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
-    write_series_csv(os.path.join(args.out_dir, "series.csv"), traj)
-    write_state_csv(os.path.join(args.out_dir, "final_state.csv"), traj.final)
     summary["status"] = "ok"
     summary["final_time"] = traj.final.time
     summary["conservation"] = _drift_summary(traj)
     summary["max_abs_ux"] = max(s.max_abs_ux for s in traj.samples)
     if len(traj.states) >= 3:
         summary["residual_check"] = residual_check(traj)
-    write_atomic(os.path.join(args.out_dir, "summary.json"), json.dumps(summary, indent=2))
+    try:
+        write_series_csv(os.path.join(args.out_dir, "series.csv"), traj)
+        write_state_csv(os.path.join(args.out_dir, "final_state.csv"), traj.final)
+        write_atomic(os.path.join(args.out_dir, "summary.json"), json.dumps(summary, indent=2))
+    except OSError as exc:
+        print(f"error: cannot write output in {args.out_dir}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"simulation complete at t = {traj.final.time:g}; outputs in {args.out_dir}")
     return EXIT_OK
 

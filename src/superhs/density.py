@@ -1,8 +1,8 @@
 """Densities modulo total derivatives and variational calculus.
 
-A ``Density`` is an integrand considered up to total x-derivatives (measure
-``dx``) or up to the combination killed by a Berezin integral followed by the
-x-integral (measure ``dx dtheta``).
+A density is the integrand ``SymExpr`` of an x-integral, considered up to
+total x-derivatives.  A superspace integrand is first reduced to one by
+``calculus.berezin``.
 
 Exactness is decided by the variational criterion: a differential polynomial
 with no field-free part is a total x-derivative iff the Euler operator of
@@ -25,43 +25,15 @@ one integration by parts sends ``u*u_xx`` to ``-u_x**2``.  That sparse
 eliminator, ``_reduce_against``, is the only one in the package: the flux
 certificates of ``structures.conservation_check`` decide span membership with
 it too (an empty residual means the target lies in the span), on vectors built
-by ``_coefficient_vector``.  ``_dx_integrand`` is the one check that an input
-density has measure ``dx``; ``variational_derivative``, ``canonical_density``
-and ``conservation_check`` all call it.
+by ``_coefficient_vector``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .algebra import ODD, FieldSymbol, JetFactor, SymExpr, TermKey, _accumulate, _reduced, _sort_factors
-from .calculus import berezin, dx, jet_derivative
-
-
-class MeasureError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class Density:
-    """An equivalence class representative of an integrand."""
-
-    integrand: SymExpr
-    measure: str = "dx"
-
-    def __post_init__(self):
-        if self.measure not in ("dx", "dx_dtheta"):
-            raise MeasureError(f"unknown measure {self.measure!r}")
-
-
-def _dx_integrand(density: "Density | SymExpr", caller: str) -> SymExpr:
-    """The integrand of a dx-measure density; a bare expression is taken as one."""
-    if not isinstance(density, Density):
-        return density
-    if density.measure != "dx":
-        raise MeasureError(f"{caller} expects a dx-measure density")
-    return density.integrand
+from .calculus import dx, jet_derivative
 
 
 def _coefficient_vector(e: SymExpr) -> Dict[Tuple[JetFactor, ...], Fraction]:
@@ -127,9 +99,9 @@ def euler_xt(e: SymExpr, field: FieldSymbol) -> SymExpr:
     return total
 
 
-def variational_derivative(density: "Density | SymExpr", field: FieldSymbol) -> SymExpr:
-    """Functional gradient of a dx-measure density with respect to one field."""
-    return euler_x(_dx_integrand(density, "variational_derivative"), field)
+def variational_derivative(density: SymExpr, field: FieldSymbol) -> SymExpr:
+    """Functional gradient of a density with respect to one field."""
+    return euler_x(density, field)
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +132,6 @@ def is_total_x_derivative(e: SymExpr) -> bool:
 def equals_mod_dx(e1: SymExpr, e2: SymExpr) -> bool:
     """True iff ``e1 - e2`` is a total x-derivative."""
     return is_total_x_derivative(e1 - e2)
-
-
-def densities_equal(d1: Density, d2: Density) -> bool:
-    if d1.measure != d2.measure:
-        return False
-    diff = d1.integrand - d2.integrand
-    if d1.measure == "dx":
-        return is_total_x_derivative(diff)
-    # Berezin integration first; theta-free terms drop, the rest must be exact
-    return is_total_x_derivative(berezin(diff))
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +239,12 @@ def _reduce_against(
     return vec
 
 
-def canonical_density(density: "Density | SymExpr") -> SymExpr:
-    """Integration-by-parts normal form of a dx-measure integrand.
+def canonical_density(e: SymExpr) -> SymExpr:
+    """Integration-by-parts normal form of a density.
 
     Two densities have equal canonical forms iff they differ by a total
     x-derivative.
     """
-    e = _dx_integrand(density, "canonical_density")
     _check_component_only(e)
     sectors: Dict[Tuple, Dict[int, Dict[Tuple[JetFactor, ...], Fraction]]] = {}
     for key, num in e._terms.items():

@@ -146,7 +146,7 @@ def spectral_dx(arr: np.ndarray, order: int = 1) -> np.ndarray:
 def spectral_antiderivative(arr: np.ndarray, dealias: bool = False) -> np.ndarray:
     """Zero-mean antiderivative on the circle; the input mean is discarded.
 
-    ``dealias`` first cuts the top third of the modes as ``dealias_23`` does.
+    ``dealias`` first cuts the modes above n/3 (the two-thirds rule).
     """
     n = arr.shape[-1]
     k = _wavenumbers(n)
@@ -155,14 +155,6 @@ def spectral_antiderivative(arr: np.ndarray, dealias: bool = False) -> np.ndarra
         spec[..., k > n / 3.0] = 0.0
     spec[..., 0] = 0.0
     spec[..., 1:] /= 1j * k[1:]
-    return np.fft.irfft(spec, n)
-
-
-def dealias_23(arr: np.ndarray) -> np.ndarray:
-    """Standard two-thirds truncation of the top modes."""
-    n = arr.shape[-1]
-    spec = np.fft.rfft(arr)
-    spec[..., _wavenumbers(n) > n / 3.0] = 0.0
     return np.fft.irfft(spec, n)
 
 
@@ -310,11 +302,10 @@ def _system_terms() -> Dict[str, tuple]:
     x-orders of u and of xi that its slots bind, then each expression's terms.
     """
     system = geodesic_system()
-    h1, h2 = hamiltonian_densities()
     out = {}
     for name, exprs in (
         ("rhs", system.once_integrated_potentials()),
-        ("invariants", (h1.integrand, h2.integrand)),
+        ("invariants", hamiltonian_densities()),
         ("residual", (system.rhs_m, system.rhs_eta)),
     ):
         slots, terms = _float_terms(exprs)

@@ -54,9 +54,7 @@ from .calculus import (
     theta_expand,
 )
 from .density import (
-    Density,
     _coefficient_vector,
-    _dx_integrand,
     _reduce_against,
     euler_xt,
     is_total_x_derivative,
@@ -128,18 +126,18 @@ def lie_bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(even, odd)
 
 
-def inner_product(x: AlgebraElement, y: AlgebraElement) -> Density:
+def inner_product(x: AlgebraElement, y: AlgebraElement) -> SymExpr:
     """The homogeneous H^1 inner product, as the density u_x*v_x + phi_x*psi."""
     u, phi = x.even_part, x.odd_part
     v, psi = y.even_part, y.odd_part
-    return Density(dx(u) * dx(v) + dx(phi) * psi, "dx")
+    return dx(u) * dx(v) + dx(phi) * psi
 
 
-def inner_product_operator_form(x: AlgebraElement, y: AlgebraElement) -> Density:
+def inner_product_operator_form(x: AlgebraElement, y: AlgebraElement) -> SymExpr:
     """The same metric written through the operators (-d2/dx2, -d/dx)."""
     u, phi = x.even_part, x.odd_part
     v, psi = y.even_part, y.odd_part
-    return Density(u * op_A0(v) + phi * op_A1(psi), "dx")
+    return u * op_A0(v) + phi * op_A1(psi)
 
 
 def bilinear_B(x: AlgebraElement, y: AlgebraElement) -> Tuple[SymExpr, SymExpr]:
@@ -221,11 +219,11 @@ def geodesic_system() -> EvolutionSystem:
     return EvolutionSystem(substitute(a0b0, to_xi), substitute(a1b1, to_xi))
 
 
-def hamiltonian_densities() -> Tuple[Density, Density]:
+def hamiltonian_densities() -> Tuple[SymExpr, SymExpr]:
     """H1 and H2 densities in the component fields."""
     h1 = HALF * (U(dx=1) ** 2 + XI(dx=2) * XI(dx=1))
     h2 = HALF * (U() * U(dx=1) ** 2 - U() * XI(dx=1) * XI(dx=2))
-    return Density(h1, "dx"), Density(h2, "dx")
+    return h1, h2
 
 
 def apply_J1(p_m: SymExpr, p_eta: SymExpr) -> Tuple[SymExpr, SymExpr]:
@@ -332,18 +330,14 @@ def check_bracket(failures: Failures) -> None:
     _zero("bracket fermionic odd part", ferm.odd_part, failures)
 
     ip = inner_product(xe, ye)
-    _eq("inner product integrand", ip.integrand, U(dx=1) * V(dx=1) + PHI(dx=1) * PSI(), failures)
+    _eq("inner product integrand", ip, U(dx=1) * V(dx=1) + PHI(dx=1) * PSI(), failures)
     opform = inner_product_operator_form(xe, ye)
-    _exact("inner product operator form", ip.integrand - opform.integrand, failures)
-    _exact(
-        "inner product symmetry",
-        inner_product(xe, ye).integrand - inner_product(ye, xe).integrand,
-        failures,
-    )
+    _exact("inner product operator form", ip - opform, failures)
+    _exact("inner product symmetry", inner_product(xe, ye) - inner_product(ye, xe), failures)
 
     # defining property <X,[Y,Z]> = <B(X,Y),Z> through the images only
     bracket_yz = lie_bracket(ye, ze)
-    lhs = inner_product(xe, bracket_yz).integrand
+    lhs = inner_product(xe, bracket_yz)
     p0, p1 = bilinear_B(xe, ye)
     rhs = p0 * W() - p1 * CHI()
     _exact("defining property of B", lhs - rhs, failures)
@@ -545,7 +539,7 @@ def check_superspace(failures: Failures) -> None:
     metric_sf = SUPER_U(dx=1) * SUPER_V(dtheta=1)
     metric_component = berezin(substitute(metric_sf, expand_uv))
     pair_metric = inner_product(AlgebraElement(U(), PHI()), AlgebraElement(V(), PSI()))
-    _exact("Berezin metric reduces to the component metric", metric_component - pair_metric.integrand, failures)
+    _exact("Berezin metric reduces to the component metric", metric_component - pair_metric, failures)
 
     # negative control: wrong coefficient on the last superspace term
     bad_rhs = substitute(
@@ -812,7 +806,7 @@ def _flux_certificate(target: SymExpr, rules: Mapping[JetFactor, SymExpr]) -> bo
     return not _reduce_against(_coefficient_vector(target), generators)
 
 
-def conservation_check(density: Density, system: Optional[EvolutionSystem] = None) -> bool:
+def conservation_check(density: SymExpr, system: Optional[EvolutionSystem] = None) -> bool:
     """Is d/dt of the density a total x-derivative along the flow?
 
     The time derivative is taken with the once-integrated equations of motion
@@ -820,11 +814,10 @@ def conservation_check(density: Density, system: Optional[EvolutionSystem] = Non
     When no bare velocity jet remains, plain exactness decides; otherwise a
     flux certificate is sought on the constrained jet space.
     """
-    integrand = _dx_integrand(density, "conservation_check")
     if system is None:
         system = geodesic_system()
     rules = system.rules_velocity()
-    flow_dt = substitute(dt(integrand), rules)
+    flow_dt = substitute(dt(density), rules)
     if flow_dt.is_zero():
         return True
     bare_velocity = any(
@@ -841,10 +834,10 @@ def check_conservation(failures: Failures) -> None:
     system = geodesic_system()
     h1, h2 = hamiltonian_densities()
     if not conservation_check(h1, system):
-        failures.append(("H1 not conserved", h1.integrand))
+        failures.append(("H1 not conserved", h1))
     if not conservation_check(h2, system):
-        failures.append(("H2 not conserved", h2.integrand))
-    if conservation_check(Density(U() ** 2, "dx"), system):
+        failures.append(("H2 not conserved", h2))
+    if conservation_check(U() ** 2, system):
         failures.append(("control density u^2 reported conserved", U() ** 2))
 
 

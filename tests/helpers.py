@@ -1,6 +1,7 @@
 """Shared generators for seeded property tests, and the tests' reference implementations.
 
-``gmul`` is the reference Grassmann product.  The ``ref_*`` functions are the
+``gmul`` is the reference Grassmann product and ``dealias_23`` the reference
+two-thirds truncation.  The ``ref_*`` functions are the
 reference for the symbolic kernel: an expression is a dict ``{(lam, factors):
 Fraction}`` with sorted factors and no zero coefficient, and every operation
 is a plain loop on ``Fraction`` values.
@@ -10,6 +11,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from typing import Callable, Dict, Mapping
+
+import numpy as np
 
 from superhs.algebra import EVEN, ODD, THETA, FieldSymbol, JetFactor, SymExpr, _sort_factors
 from superhs.grassmann import merge_sign
@@ -83,6 +86,14 @@ def gmul(a: Mapping[int, float], b: Mapping[int, float]) -> Dict[int, float]:
             if sign:
                 out[ma | mb] = out.get(ma | mb, 0.0) + sign * ca * cb
     return out
+
+
+def dealias_23(arr: np.ndarray) -> np.ndarray:
+    """Standard two-thirds truncation: the modes above n/3 are set to zero."""
+    n = arr.shape[-1]
+    spec = np.fft.rfft(arr)
+    spec[..., np.fft.rfftfreq(n, d=1.0 / n) > n / 3.0] = 0.0
+    return np.fft.irfft(spec, n)
 
 
 def ref_of(e: SymExpr) -> dict:

@@ -13,7 +13,7 @@ import numpy as np
 
 from superhs.algebra import EVEN, ODD
 from superhs.calculus import dx, superD
-from superhs.density import Density, euler_x, is_total_x_derivative
+from superhs.density import euler_x, is_total_x_derivative
 from superhs.grassmann import even_masks, gmul_stack, mask_row
 from superhs.numerics import (
     GridState,
@@ -125,7 +125,7 @@ def test_criterion_08_symbolic_conservation():
         system = geodesic_system()
         assert conservation_check(h1, system)
         assert conservation_check(h2, system)
-        assert not conservation_check(Density(U() ** 2, "dx"), system)
+        assert not conservation_check(U() ** 2, system)
 
 
 def test_criterion_09_algebra_properties():

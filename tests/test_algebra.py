@@ -116,9 +116,8 @@ def test_stored_terms_are_canonical_and_nonzero_randomized():
         for e in cancelled + [a * b, (a + b) * (a - b), dx(a * b), superD(a), substitute(a, rule)]:
             _assert_canonical(e)
     # raw constructors: unsorted factors, integer coefficients, terms that cancel
-    raw = [(2, 0, (xi.jet(), phi.jet())), (2, 0, (phi.jet(), xi.jet())),
-           (3, 1, (v.jet(), u.jet())), (0, 0, (u.jet(),))]
-    built = SymExpr.from_terms(raw)
+    built = SymExpr({(0, (xi.jet(), phi.jet())): 2, (0, (phi.jet(), xi.jet())): 2,
+                     (1, (v.jet(), u.jet())): 3, (0, (u.jet(),)): 0})
     _assert_canonical(built)
     assert built == 3 * lam_power(1) * u() * v()
     mapped = SymExpr({(0, (xi.jet(), u.jet())): 1, (0, (u.jet(), xi.jet())): -1})
@@ -150,6 +149,14 @@ def test_jets_are_interned():
         jet.dx = 2
     assert copy.deepcopy(jet) is jet
     assert pickle.loads(pickle.dumps(jet)) is jet
+
+
+def test_copies_and_pickles_are_equal_and_canonical():
+    for e in (u() * u(dx=1), Fraction(2, 3) * xi() * phi(dx=1) - lam_power(-1) * v(), SymExpr.zero()):
+        for clone in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert clone == e
+            _assert_canonical(clone)
+    assert pickle.loads(pickle.dumps(SymExpr.zero())) is SymExpr.zero()
 
 
 def test_kernel_outputs_hold_interned_jets():

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -192,6 +193,22 @@ def test_simulate_out_dir_under_a_file_exits_2(tmp_path, capsys):
     out_dir = regular / "out"
     assert main(["simulate", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
     assert f"error: cannot create output directory {out_dir}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, blocked",
+    [({}, "series.csv"), ({}, "summary.json"), ({"dt": 50.0, "t_end": 500.0}, "summary.json")],
+    ids=["series", "summary", "blowup-summary"],
+)
+def test_simulate_unwritable_output_exits_2(tmp_path, capsys, overrides, blocked):
+    # a directory in the way of an output file: the normal writes and the blow-up summary
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    out_dir = tmp_path / "out"
+    (out_dir / blocked).mkdir(parents=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the blow-up run overflows
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+    assert f"error: cannot write output in {out_dir}" in capsys.readouterr().err
 
 
 def test_simulate_missing_config_exits_2(tmp_path):

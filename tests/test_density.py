@@ -2,18 +2,14 @@ import random
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
-from superhs.algebra import EVEN, ODD, FieldSymbol, SymExpr, theta_factor
+from superhs.algebra import EVEN, ODD, FieldSymbol, theta_factor
 from superhs import density
-from superhs.calculus import dx, superD
+from superhs.calculus import berezin, dx, superD
 from superhs.density import (
-    Density,
-    MeasureError,
     _elimination_key,
     _reduce_against,
     canonical_density,
-    densities_equal,
     equals_mod_dx,
     euler_x,
     euler_xt,
@@ -21,8 +17,6 @@ from superhs.density import (
     partial_jet,
     variational_derivative,
 )
-
-from superhs.structures import conservation_check
 
 from helpers import random_expr, random_x_poly
 
@@ -37,8 +31,8 @@ H2_DENSITY = Fraction(1, 2) * (u() * u(dx=1) ** 2 - u() * xi(dx=1) * xi(dx=2))
 
 def test_gradient_of_quadratic_invariant():
     assert variational_derivative(Fraction(1, 2) * u(dx=1) ** 2, u) == -u(dx=2)
-    assert variational_derivative(Density(H1_DENSITY, "dx"), u) == -u(dx=2)
-    assert variational_derivative(Density(H1_DENSITY, "dx"), xi) == -xi(dx=3)
+    assert variational_derivative(H1_DENSITY, u) == -u(dx=2)
+    assert variational_derivative(H1_DENSITY, xi) == -xi(dx=3)
 
 
 def test_gradients_of_cubic_invariant():
@@ -125,21 +119,8 @@ def test_densities_equal_berezin_measure():
     # a full superderivative integrates to zero against dx dtheta
     f_expr = u() * xi(dx=1) + theta_factor() * (u() * u(dx=1))
     total = superD(f_expr) + dx(theta_factor() * (v() * xi()))
-    assert densities_equal(Density(total, "dx_dtheta"), Density(SymExpr.zero(), "dx_dtheta"))
-    assert not densities_equal(
-        Density(theta_factor() * u(), "dx_dtheta"), Density(SymExpr.zero(), "dx_dtheta")
-    )
-
-
-def test_measure_validation():
-    with pytest.raises(MeasureError):
-        Density(u(), "dy")
-    with pytest.raises(MeasureError):
-        variational_derivative(Density(u(), "dx_dtheta"), u)
-    with pytest.raises(MeasureError):
-        canonical_density(Density(u(), "dx_dtheta"))
-    with pytest.raises(MeasureError, match="conservation_check expects a dx-measure"):
-        conservation_check(Density(u(), "dx_dtheta"))
+    assert is_total_x_derivative(berezin(total))
+    assert not is_total_x_derivative(berezin(theta_factor() * u()))
 
 
 def test_spacetime_euler_operator():

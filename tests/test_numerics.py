@@ -10,7 +10,6 @@ from superhs.numerics import (
     GridState,
     SolverConfig,
     conserved_quantities,
-    dealias_23,
     evaluate,
     evolve,
     grid,
@@ -24,7 +23,7 @@ from superhs.numerics import (
     write_state_csv,
 )
 
-from helpers import gmul
+from helpers import dealias_23, gmul
 
 
 def bosonic_cos_state(n=256):

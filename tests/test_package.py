@@ -1,4 +1,5 @@
-"""Package-level structure: module layering, lazy solver imports and the single version number."""
+"""Package-level structure: module layering, lazy solver imports, the single
+version number and the README example."""
 import ast
 import os
 import re
@@ -74,3 +75,11 @@ def test_pyproject_version_is_the_tool_version():
     match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
     assert match, "pyproject.toml has no version line"
     assert match.group(1) == TOOL_VERSION
+
+
+def test_readme_programmatic_example_runs():
+    text = (ROOT / "README.md").read_text()
+    match = re.search(r"^## Programmatic use\n.*?^```python\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+    assert match, "README.md has no Programmatic use python block"
+    assert "assert " in match.group(1)
+    exec(compile(match.group(1), "README.md", "exec"), {})

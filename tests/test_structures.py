@@ -7,7 +7,7 @@ import pytest
 from superhs.algebra import ParityError, SymExpr, lam_power, theta_factor
 from superhs.calculus import dx, substitute, theta_expand
 from superhs import structures
-from superhs.density import Density, equals_mod_dx, is_total_x_derivative
+from superhs.density import equals_mod_dx, is_total_x_derivative
 from superhs.sexpr import to_sexpr
 from superhs.structures import (
     CHI,
@@ -83,9 +83,9 @@ def test_bracket_full_odd_component():
 def test_inner_product_integrands():
     x = AlgebraElement(U(), SymExpr.zero())
     y = AlgebraElement(V(), SymExpr.zero())
-    assert inner_product(x, y).integrand == U(dx=1) * V(dx=1)
+    assert inner_product(x, y) == U(dx=1) * V(dx=1)
     f = AlgebraElement(SymExpr.zero(), PHI())
-    assert inner_product(f, f).integrand == PHI(dx=1) * PHI()
+    assert inner_product(f, f) == PHI(dx=1) * PHI()
     assert equals_mod_dx(U(dx=1) * V(dx=1), -(U() * V(dx=2)))
 
 
@@ -93,7 +93,7 @@ def test_inner_product_operator_form_equivalent():
     x = AlgebraElement(U(), PHI())
     y = AlgebraElement(V(), PSI())
     assert equals_mod_dx(
-        inner_product(x, y).integrand, inner_product_operator_form(x, y).integrand
+        inner_product(x, y), inner_product_operator_form(x, y)
     )
 
 
@@ -119,7 +119,7 @@ def test_bilinear_defining_property_symbolic():
     x = AlgebraElement(U(), PHI())
     y = AlgebraElement(V(), PSI())
     z = AlgebraElement(W(), CHI())
-    lhs = inner_product(x, lie_bracket(y, z)).integrand
+    lhs = inner_product(x, lie_bracket(y, z))
     p0, p1 = bilinear_B(x, y)
     assert is_total_x_derivative(lhs - (p0 * W() - p1 * CHI()))
 
@@ -249,7 +249,7 @@ def test_hamiltonians_conserved_and_control_rejected():
     h1, h2 = hamiltonian_densities()
     assert conservation_check(h1, system)
     assert conservation_check(h2, system)
-    assert not conservation_check(Density(U() ** 2, "dx"), system)
+    assert not conservation_check(U() ** 2, system)
 
 
 def test_quadratic_density_conserved_only_for_bosonic_flow():
@@ -257,7 +257,7 @@ def test_quadratic_density_conserved_only_for_bosonic_flow():
     # coupling feeds it, so under the full flow only the completed H1 survives
     full = geodesic_system()
     bosonic = full.bosonic_reduction()
-    quad = Density(HALF * U(dx=1) ** 2, "dx")
+    quad = HALF * U(dx=1) ** 2
     assert conservation_check(quad, bosonic)
     assert not conservation_check(quad, full)
 
@@ -285,11 +285,11 @@ def test_conserved_combinations_with_exact_noise():
 
     for _ in range(8):
         combo = (
-            rng.choice(coeffs) * h1.integrand
-            + rng.choice(coeffs) * h2.integrand
+            rng.choice(coeffs) * h1
+            + rng.choice(coeffs) * h2
             + ddx(rand_poly())
         )
-        assert conservation_check(Density(combo, "dx"), system)
+        assert conservation_check(combo, system)
 
 
 def test_exact_and_gauge_mean_densities_are_conserved():
@@ -297,11 +297,11 @@ def test_exact_and_gauge_mean_densities_are_conserved():
 
     system = geodesic_system()
     # total derivatives are trivially conserved
-    assert conservation_check(Density(ddx(U() * U(dx=1) ** 2), "dx"), system)
-    assert conservation_check(Density(2 * (U(dx=1) ** 2 * U(dx=2)), "dx"), system)
+    assert conservation_check(ddx(U() * U(dx=1) ** 2), system)
+    assert conservation_check(2 * (U(dx=1) ** 2 * U(dx=2)), system)
     # the field means are conserved by the zero-mean gauge on the velocities
-    assert conservation_check(Density(U(), "dx"), system)
-    assert conservation_check(Density(XI(), "dx"), system)
+    assert conservation_check(U(), system)
+    assert conservation_check(XI(), system)
 
 
 # ---------------------------------------------------------------------------
