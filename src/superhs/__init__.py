@@ -35,6 +35,7 @@ from .density import (
     equals_mod_dx,
     euler_x,
     euler_xt,
+    integrate_x,
     is_total_x_derivative,
     variational_derivative,
 )

@@ -4,16 +4,16 @@ A density is the integrand ``SymExpr`` of an x-integral, considered up to
 total x-derivatives.  A superspace integrand is first reduced to one by
 ``calculus.berezin``.
 
-Exactness is decided by the variational criterion: a differential polynomial
-with no field-free part is a total x-derivative iff the Euler operator of
-every field annihilates it.  The odd variational derivative follows the
-convention in which the gradient multiplies the variation from the left,
-``delta F = integral (dF/df) * df``; operationally that is the right partial
-derivative (the factor is commuted to the right end of the monomial before
-being stripped).  This is the convention under which the
-gradients of the quadratic and cubic invariants take their standard closed
-forms, and it is pinned
-by tests before any dependent check runs.
+Exactness is shown by a witness: ``integrate_x`` builds the antiderivative F
+by the homotopy operator, and ``e`` is a total x-derivative iff ``dx(F) == e``.
+The same F gives the solver its once-integrated potentials.  The odd
+variational derivative follows the convention in which the gradient
+multiplies the variation from the left, ``delta F = integral (dF/df) * df``;
+operationally that is the right partial derivative (the factor is commuted to
+the right end of the monomial before being stripped).  This is the convention
+under which the gradients of the quadratic and cubic invariants take their
+standard closed forms, and it is pinned by tests before any dependent check
+runs.
 
 ``canonical_density`` computes a genuine normal form: within each finite
 sector (fixed lam power, field content and total x-order; theta is an odd
@@ -108,24 +108,40 @@ def variational_derivative(density: SymExpr, field: FieldSymbol) -> SymExpr:
 # exactness
 
 
-def is_total_x_derivative(e: SymExpr) -> bool:
-    """True iff ``e`` is d/dx of a differential polynomial.
+def integrate_x(e: SymExpr) -> SymExpr:
+    """The x-antiderivative of ``e`` with no field-free term, by the homotopy operator.
 
-    Criterion: no field-free part and every Euler operator vanishes.  Formal
-    constants act as coefficients of the ground ring.
+    On the part of ``e`` of field degree d (formal constants and ``THETA`` are
+    coefficients) it is (1/d) sum over jets f_i of sum_{j<i} ((-D)**(i-1-j)
+    dR e/df_i) * f_j, with dR = ``partial_jet`` and f_j the same field at
+    x-order j (Olver, section 5.4; Hereman et al., "Continuous and discrete
+    homotopy operators", 2005).  It is checked by ``dx``: a field-free term or
+    any other non-exact ``e`` raises ``ValueError``.
     """
+    by_degree: Dict[int, Dict[TermKey, int]] = {}
+    for key, num in e._terms.items():
+        by_degree.setdefault(sum(not f.symbol.constant for f in key[1]), {})[key] = num
+    by_degree.pop(0, None)  # field-free terms have no antiderivative; dx below catches them
+    antiderivative = SymExpr.zero()
+    for degree, nums in by_degree.items():
+        part = _reduced(nums, e._den * degree)
+        for jet in part.jet_factors():
+            term = partial_jet(part, jet)
+            for j in reversed(range(jet.dx)):
+                antiderivative = antiderivative + term * jet.symbol(j, jet.dt, jet.dtheta)
+                term = -dx(term)
+    if dx(antiderivative) != e:
+        raise ValueError("not a total x-derivative")  # no formatting: callers probe many inputs
+    return antiderivative
+
+
+def is_total_x_derivative(e: SymExpr) -> bool:
+    """True iff ``e`` is d/dx of a differential polynomial: ``integrate_x`` finds its witness."""
     _check_component_only(e)
-    if e.is_zero():
-        return True
-    pairs = set()
-    for _lam, factors in e._terms:
-        genuine = [f for f in factors if not f.symbol.constant]
-        if not genuine:
-            return False  # field-free terms have a nonzero mean
-        pairs.update((f.symbol, f.dt) for f in genuine)
-    for sym, dt_order in sorted(pairs, key=lambda p: (p[0].name, p[1])):
-        if not euler_x(e, sym, dt_order).is_zero():
-            return False
+    try:
+        integrate_x(e)
+    except ValueError:
+        return False
     return True
 
 

@@ -325,7 +325,8 @@ def rhs_once_integrated(state: GridState, cfg: SolverConfig) -> Tuple[np.ndarray
     """Time derivatives (u_t, xi_t) from the once-integrated equations.
 
     u_tx = pot_u - a(t) and xi_tx = pot_xi - b(t), with the potentials of
-    ``geodesic_system().once_integrated_potentials()``.  a and b are the
+    ``geodesic_system().once_integrated_potentials()``, the exact
+    x-antiderivatives of the verified right-hand sides.  a and b are the
     unique Grassmann-valued constants making the right sides mean-free
     (periodic solvability); u_t and xi_t then come from the zero-mean
     spectral antiderivative, which drops the mean.

@@ -1,7 +1,8 @@
 """Shared generators for seeded property tests, and the tests' reference implementations.
 
-``gmul`` is the reference Grassmann product and ``dealias_23`` the reference
-two-thirds truncation.  The ``ref_*`` functions are the
+``gmul`` is the reference Grassmann product, ``dealias_23`` the reference
+two-thirds truncation and ``ref_is_total_x_derivative`` the reference
+exactness criterion.  The ``ref_*`` functions are the
 reference for the symbolic kernel: an expression is a dict ``{(lam, factors):
 Fraction}`` with sorted factors and no zero coefficient, and every operation
 is a plain loop on ``Fraction`` values.
@@ -15,6 +16,7 @@ from typing import Callable, Dict, Mapping
 import numpy as np
 
 from superhs.algebra import EVEN, ODD, THETA, FieldSymbol, JetFactor, SymExpr, _sort_factors
+from superhs.density import euler_x
 from superhs.grassmann import merge_sign
 
 U = FieldSymbol("u", EVEN)
@@ -94,6 +96,16 @@ def dealias_23(arr: np.ndarray) -> np.ndarray:
     spec = np.fft.rfft(arr)
     spec[..., np.fft.rfftfreq(n, d=1.0 / n) > n / 3.0] = 0.0
     return np.fft.irfft(spec, n)
+
+
+def ref_is_total_x_derivative(e: SymExpr) -> bool:
+    """The variational criterion: no field-free term, and the Euler operator of
+    every field at every t-order annihilates ``e`` (formal constants and theta
+    are coefficients)."""
+    if any(all(f.symbol.constant for f in factors) for (_lam, factors), _c in e.terms()):
+        return False
+    fields = {(f.symbol, f.dt) for f in e.jet_factors() if not f.symbol.constant}
+    return all(euler_x(e, sym, dt_order).is_zero() for sym, dt_order in fields)
 
 
 def ref_of(e: SymExpr) -> dict:

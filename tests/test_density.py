@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from superhs.algebra import EVEN, ODD, FieldSymbol, theta_factor
+from superhs.algebra import EVEN, ODD, FieldSymbol, SymExpr, lam_power, theta_factor
 from superhs import density
 from superhs.calculus import berezin, dx, superD
 from superhs.density import (
@@ -13,17 +14,23 @@ from superhs.density import (
     equals_mod_dx,
     euler_x,
     euler_xt,
+    integrate_x,
     is_total_x_derivative,
     partial_jet,
     variational_derivative,
 )
 
-from helpers import random_expr, random_x_poly
+from helpers import random_expr, random_x_poly, ref_is_total_x_derivative
 
 u = FieldSymbol("u", EVEN)
 v = FieldSymbol("v", EVEN)
 xi = FieldSymbol("xi", ODD)
 phi = FieldSymbol("phi", ODD)
+a = FieldSymbol("a", EVEN, constant=True)
+c = FieldSymbol("c", ODD, constant=True)
+
+# coefficients for random expressions: formal constants, theta and lam
+COEFFICIENTS = [SymExpr.scalar(1), a(), c(), theta_factor(), lam_power(1), lam_power(-2) * a() * c()]
 
 H1_DENSITY = Fraction(1, 2) * (u(dx=1) ** 2 + xi(dx=2) * xi(dx=1))
 H2_DENSITY = Fraction(1, 2) * (u() * u(dx=1) ** 2 - u() * xi(dx=1) * xi(dx=2))
@@ -65,6 +72,55 @@ def test_exactness_with_constant_coefficients():
     assert is_total_x_derivative(a() * u(dx=1))
     assert not is_total_x_derivative(a() * u())
     assert not is_total_x_derivative(a())  # field-free terms have a mean
+
+
+def test_integrate_x_round_trip_randomized():
+    # dx(G) for random G with theta, lam, t-jets, odd fields and formal
+    # constants: the antiderivative is G less the field-free terms dx kills
+    rng = random.Random(43)
+    for _ in range(300):
+        g = random_expr(rng) * rng.choice(COEFFICIENTS) + rng.choice(COEFFICIENTS)
+        e = dx(g)
+        antiderivative = integrate_x(e)
+        assert dx(antiderivative) == e
+        assert antiderivative == g.filter_terms(
+            lambda key, _c: any(not f.symbol.constant for f in key[1])
+        )
+
+
+def test_integrate_x_rejects_field_free_and_non_exact_input():
+    assert integrate_x(SymExpr.zero()).is_zero()
+    for e in (
+        a(),
+        theta_factor(),
+        lam_power(1),
+        a() * u(dx=1) + c(),  # exact but for a field-free term
+        u(),
+        u() * u(dx=2),
+        xi() * xi(dx=1),
+        theta_factor() * u(dt=1),
+    ):
+        with pytest.raises(ValueError, match="not a total x-derivative"):
+            integrate_x(e)
+
+
+def test_exactness_rejects_superspace_jets():
+    big_u = FieldSymbol("U", EVEN, superspace=True)
+    with pytest.raises(ValueError, match="superspace"):
+        is_total_x_derivative(dx(big_u() * big_u(dx=1)))
+
+
+def test_exactness_agrees_with_variational_criterion_randomized():
+    rng = random.Random(47)
+    verdicts = []
+    for _ in range(200):
+        e = random_expr(rng) * rng.choice(COEFFICIENTS)
+        if rng.random() < 0.5:
+            e = dx(e) + (random_expr(rng) if rng.random() < 0.3 else SymExpr.zero())
+        verdict = is_total_x_derivative(e)
+        assert verdict == ref_is_total_x_derivative(e)
+        verdicts.append(verdict)
+    assert 50 < sum(verdicts) < 150
 
 
 def test_euler_annihilates_exact_terms_randomized():

@@ -9,6 +9,7 @@ from superhs.calculus import dx, substitute, theta_expand
 from superhs import structures
 from superhs.density import equals_mod_dx, is_total_x_derivative
 from superhs.sexpr import to_sexpr
+from helpers import random_x_poly
 from superhs.structures import (
     CHI,
     PHI,
@@ -143,11 +144,26 @@ def test_geodesic_bosonic_reduction():
     assert system.rhs_eta.is_zero()
 
 
+POT_U = -(U() * U(dx=2) + HALF * (U(dx=1) ** 2) + HALF * (XI(dx=1) * XI(dx=2)))
+POT_XI = -(U() * XI(dx=2) + HALF * (U(dx=1) * XI(dx=1)))
+
+
 def test_once_integrated_rules_consistent():
     system = geodesic_system()
     pot_u, pot_xi = system.once_integrated_potentials()
     assert dx(pot_u) == -RHS_M
     assert dx(pot_xi) == -RHS_ETA
+    assert (pot_u, pot_xi) == (POT_U, POT_XI)
+    bosonic = system.bosonic_reduction()
+    assert bosonic.once_integrated_potentials() == (POT_U.without_fields([XI]), SymExpr.zero())
+
+
+def test_non_exact_rhs_has_no_potential():
+    system = EvolutionSystem(U() * U(dx=2), SymExpr.zero())
+    with pytest.raises(ValueError, match="not a total x-derivative"):
+        system.once_integrated_potentials()
+    with pytest.raises(ValueError, match="not a total x-derivative"):
+        system.rules_velocity()
 
 
 def test_apply_J1_on_first_gradients():
@@ -302,6 +318,23 @@ def test_exact_and_gauge_mean_densities_are_conserved():
     # the field means are conserved by the zero-mean gauge on the velocities
     assert conservation_check(U(), system)
     assert conservation_check(XI(), system)
+
+
+def test_conservation_verdict_depends_only_on_the_integral():
+    # a total x-derivative added to a density leaves its integral, so its verdict, unchanged
+    system = geodesic_system()
+    h1, h2 = hamiltonian_densities()
+    assert conservation_check(U(dx=1), system)
+    assert conservation_check(h1 + U(dx=1), system)
+    rng = random.Random(7)
+    for rho in (h1, h2, U(dx=1) * XI(dx=1), U() ** 2):
+        verdict = conservation_check(rho, system)
+        parity = rho.parity()
+        for _ in range(5):
+            f = random_x_poly(rng, (U, XI), max_dx=2).filter_terms(
+                lambda key, _c: sum(g.parity for g in key[1]) % 2 == parity
+            )
+            assert conservation_check(rho + dx(f), system) == verdict
 
 
 # ---------------------------------------------------------------------------
