@@ -30,20 +30,18 @@ EXIT_BLOWUP = 3
 
 
 def _parse_suite(raw: Sequence[str]) -> List[str]:
-    names: List[str] = []
-    for chunk in raw:
-        names.extend(part for part in chunk.split(",") if part)
-    if names == ["all"]:
-        return list(SUITE_NAMES)
-    unknown = [n for n in names if n not in SUITE_NAMES]
+    """Check names in first-requested order, each once; ``all`` stands for every check."""
+    requested = [part for chunk in raw for part in chunk.split(",") if part]
+    unknown = [n for n in requested if n != "all" and n not in SUITE_NAMES]
     if unknown:
         raise ValueError(
             f"unknown suite name(s) {', '.join(unknown)}; "
             f"choose from: all, {', '.join(SUITE_NAMES)}"
         )
-    if not names:
+    if not requested:
         raise ValueError("suite selection is empty")
-    return names
+    expanded = (SUITE_NAMES if n == "all" else (n,) for n in requested)
+    return list(dict.fromkeys(name for group in expanded for name in group))
 
 
 def _print_table(entries: Sequence[CheckResult]) -> None:
@@ -183,7 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite",
         action="append",
         required=True,
-        help=f"comma-separated check names or 'all' ({', '.join(SUITE_NAMES)})",
+        help=(
+            "comma-separated check names or 'all', repeatable; each check runs once "
+            f"({', '.join(SUITE_NAMES)})"
+        ),
     )
     p_verify.add_argument("--out", help="write the JSON report here")
     p_verify.set_defaults(func=cmd_verify)

@@ -1,5 +1,8 @@
 """Shared generators for seeded property tests, and the tests' reference implementations.
 
+``random_element`` draws the superconformal algebra elements whose triples
+cross-check the kernel against the generic Jacobi proof of ``check_jacobi``.
+
 ``gmul`` is the reference Grassmann product, ``dealias_23`` the reference
 two-thirds truncation and ``ref_is_total_x_derivative`` the reference
 exactness criterion.  The ``ref_*`` functions are the
@@ -18,6 +21,8 @@ import numpy as np
 from superhs.algebra import EVEN, ODD, THETA, FieldSymbol, JetFactor, SymExpr, _sort_factors
 from superhs.density import euler_x
 from superhs.grassmann import merge_sign
+from superhs import structures
+from superhs.structures import CHI, PSI, W, AlgebraElement
 
 U = FieldSymbol("u", EVEN)
 V = FieldSymbol("v", EVEN)
@@ -73,6 +78,58 @@ def random_x_poly(rng: random.Random, fields, max_dx: int = 3, n_terms: int = 3)
             factors.append(sym.jet(dx=rng.randint(0, max_dx)))
         total = total + SymExpr.monomial(rng.choice(_COEFFS), factors)
     return total
+
+
+# algebra-element pools over the bracket's fields (U, V, PHI above are the same symbols)
+_ELEMENT_EVEN_JETS = [(U, 0), (U, 1), (U, 2), (V, 0), (V, 1), (W, 0), (W, 1)]
+_ELEMENT_ODD_JETS = [(PHI, 0), (PHI, 1), (PSI, 0), (PSI, 1), (CHI, 0), (CHI, 1)]
+_ELEMENT_COEFFS = [1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]
+
+
+def _random_element_part(rng: random.Random, parity: int, n_terms: int = 2) -> SymExpr:
+    """Small random expression of the requested parity."""
+    total = SymExpr.zero()
+    for _ in range(rng.randint(1, n_terms)):
+        coeff = rng.choice(_ELEMENT_COEFFS)
+        if parity == EVEN:
+            kind = rng.random()
+            if kind < 0.5:
+                sym, order = rng.choice(_ELEMENT_EVEN_JETS)
+                factors = [sym.jet(dx=order)]
+            elif kind < 0.8:
+                s1, o1 = rng.choice(_ELEMENT_EVEN_JETS)
+                s2, o2 = rng.choice(_ELEMENT_EVEN_JETS)
+                factors = [s1.jet(dx=o1), s2.jet(dx=o2)]
+            else:
+                s1, o1 = rng.choice(_ELEMENT_ODD_JETS)
+                s2, o2 = rng.choice(_ELEMENT_ODD_JETS)
+                if (s1, o1) == (s2, o2):
+                    continue
+                factors = [s1.jet(dx=o1), s2.jet(dx=o2)]
+        else:
+            s1, o1 = rng.choice(_ELEMENT_ODD_JETS)
+            factors = [s1.jet(dx=o1)]
+            if rng.random() < 0.4:
+                s2, o2 = rng.choice(_ELEMENT_EVEN_JETS)
+                factors.append(s2.jet(dx=o2))
+        total = total + SymExpr.monomial(coeff, factors)
+    return total
+
+
+def random_element(rng: random.Random) -> AlgebraElement:
+    return AlgebraElement(_random_element_part(rng, EVEN), _random_element_part(rng, ODD))
+
+
+def sampled_lie_failures(n_cases: int, seed: int) -> list:
+    """``structures._lie_axioms`` failures on ``n_cases`` seeded triples, up to the first failing triple."""
+    failures: list = []
+    rng = random.Random(seed)
+    for case in range(n_cases):
+        if failures:
+            break
+        x, y, z = random_element(rng), random_element(rng), random_element(rng)
+        structures._lie_axioms(f"case {case}", x, y, z, failures)
+    return failures
 
 
 def gmul(a: Mapping[int, float], b: Mapping[int, float]) -> Dict[int, float]:

@@ -6,6 +6,7 @@ import pytest
 from superhs import numerics
 from superhs.cli import main
 from superhs.reporting import VerificationReport
+from superhs.structures import SUITE_NAMES
 
 
 def write_config(path, **overrides):
@@ -51,8 +52,29 @@ def test_verify_unknown_suite_exits_2(capsys):
     assert "unknown suite" in capsys.readouterr().err
 
 
+def test_verify_unknown_name_beside_all_exits_2(capsys):
+    assert main(["verify", "--suite", "all,bogus"]) == 2
+    assert "unknown suite name(s) bogus;" in capsys.readouterr().err
+
+
 def test_verify_empty_suite_exits_2():
     assert main(["verify", "--suite", ""]) == 2
+
+
+@pytest.mark.parametrize(
+    "suite, expected",
+    [
+        (["bracket,bracket"], ["bracket"]),
+        (["jacobi,bracket", "--suite", "jacobi"], ["jacobi", "bracket"]),
+        (["all,jacobi"], list(SUITE_NAMES)),
+        (["jacobi,all"], ["jacobi", *(n for n in SUITE_NAMES if n != "jacobi")]),
+    ],
+)
+def test_verify_runs_each_requested_check_once_in_order(tmp_path, suite, expected):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", *suite, "--out", str(out)]) == 0
+    report = VerificationReport.from_json(out.read_text())
+    assert [e.check_id for e in report.entries] == expected
 
 
 def test_verify_unwritable_out_exits_2(tmp_path, capsys):

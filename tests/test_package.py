@@ -1,5 +1,5 @@
-"""Package-level structure: module layering, lazy solver imports, the single
-version number and the README example."""
+"""Package-level structure: module layering, lazy solver imports, no random
+numbers in the package, the single version number and the README example."""
 import ast
 import os
 import re
@@ -40,6 +40,13 @@ def test_symbolic_modules_import_no_numerics():
     for module in SYMBOLIC:
         bad = _imported_modules(PACKAGE / f"{module}.py") & NUMERIC
         assert not bad, f"superhs.{module} imports {sorted(bad)}"
+
+
+def test_package_draws_no_random_numbers():
+    # the checks are fixed identities; seeded sampling lives in the tests
+    assert "random" in _imported_modules(ROOT / "tests" / "helpers.py")  # negative control
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert "random" not in _imported_modules(path), f"superhs.{path.stem} imports random"
 
 
 def test_verify_loads_no_numpy():
