@@ -15,30 +15,31 @@ under which the gradients of the quadratic and cubic invariants take their
 standard closed forms, and it is pinned by tests before any dependent check
 runs.
 
-``canonical_density`` computes a genuine normal form: within each finite
-sector (fixed lam power, field content and total x-order; theta is an odd
-constant factor, so it is part of the field content) the subspace of exact
-terms is spanned by derivatives of the one-lower sector, and the integrand is
-reduced against that span by exact Gaussian elimination.
-Monomials concentrating derivatives on few factors are eliminated first, so
-one integration by parts sends ``u*u_xx`` to ``-u_x**2``.  That sparse
-eliminator, ``_reduce_against``, is the only one in the package: the flux
-certificates of ``structures.conservation_check`` decide span membership with
-it too (an empty residual means the target lies in the span), on vectors built
-by ``_coefficient_vector``.
+``reduce_mod_dx`` is the one reducer modulo exact terms, the
+undetermined-coefficient method of Goktas & Hereman (J. Symb. Comput. 24,
+1997).  Within each finite sector (fixed lam power, field content and total
+x-order; theta is an odd constant factor, so it is part of the field content)
+the subspace of exact terms is spanned by derivatives of the one-lower
+sector, its window.  The reducer builds those images once, optionally under
+substitution rules and with extra candidate monomials, and reduces the target
+against them by exact Gaussian elimination in one ``_reduce_against`` call,
+the only eliminator in the package.  ``canonical_density`` is its residual:
+monomials concentrating derivatives on few factors are eliminated first, so
+one integration by parts sends ``u*u_xx`` to ``-u_x**2``.  The flux
+certificates of ``structures.conservation_check`` are its empty residuals on
+the constrained jets of the flow.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import ODD, FieldSymbol, JetFactor, SymExpr, TermKey, _accumulate, _reduced, _sort_factors
-from .calculus import dx, jet_derivative
+from .calculus import dx, jet_derivative, substitute
 
 
-def _coefficient_vector(e: SymExpr) -> Dict[Tuple[JetFactor, ...], Fraction]:
-    """Coefficients keyed by factor tuple, for ``e`` of one lam power."""
-    return {factors: Fraction(n, e._den) for (_lam, factors), n in e._terms.items()}
+def _coefficient_vector(e: SymExpr) -> Dict[TermKey, Fraction]:
+    return {key: Fraction(n, e._den) for key, n in e._terms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -151,38 +152,30 @@ def equals_mod_dx(e1: SymExpr, e2: SymExpr) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# canonical representative modulo exact terms
+# reduction modulo exact terms
 
 
-def _sector_of(key: TermKey):
-    lam, factors = key
-    profile = tuple(sorted((f.symbol.name, f.symbol, f.dt) for f in factors))
-    total = sum(f.dx for f in factors)
-    return (lam, profile), total
-
-
-def window_monomials(
+def _window_monomials(
     slots: Sequence[Tuple[FieldSymbol, int]], total_dx: int
 ) -> List[Tuple[JetFactor, ...]]:
     """All canonical factor tuples with the given field content and x-order.
 
-    ``slots`` lists (field, t-order) with multiplicity.  Within a run of equal
-    slots the x-orders are taken non-decreasing (strictly increasing for odd
-    fields, whose equal jets vanish), which enumerates each monomial once in
-    already-sorted form.
+    ``slots`` lists (field, t-order) with multiplicity, equal slots adjacent.
+    Within a run of equal slots the x-orders are taken non-decreasing (strictly
+    increasing for odd fields, whose equal jets vanish), which enumerates each
+    monomial once.
     """
-    ordered = sorted(slots, key=lambda s: (s[0].name, s[1]))
     out: List[Tuple[JetFactor, ...]] = []
 
     def rec(i: int, remaining: int, prev_dx: int, acc: List[JetFactor]):
-        if i == len(ordered):
+        if i == len(slots):
             if remaining == 0:
                 sorted_ = _sort_factors(tuple(acc))
                 if sorted_ is not None:
                     out.append(sorted_[1])
             return
-        sym, dt_order = ordered[i]
-        same_group = i > 0 and ordered[i - 1] == ordered[i]
+        sym, dt_order = slots[i]
+        same_group = i > 0 and slots[i - 1] == slots[i]
         if sym.constant:
             acc.append(JetFactor(sym))
             rec(i + 1, remaining, 0, acc)
@@ -200,29 +193,31 @@ def window_monomials(
     return sorted(set(out), key=lambda fs: tuple(f.sort_key for f in fs))
 
 
-def _elimination_key(factors: Tuple[JetFactor, ...]):
+def _elimination_key(key: TermKey):
     # concentrate-derivatives-first: monomials with higher maximal x-orders are
-    # eliminated in favour of spread-out ones (u*u_xx -> -u_x**2)
+    # eliminated in favour of spread-out ones (u*u_xx -> -u_x**2); lam only
+    # breaks ties between sectors, which share no row
+    lam, factors = key
     return (
         tuple(sorted((f.dx for f in factors), reverse=True)),
         tuple(f.sort_key for f in factors),
+        lam,
     )
 
 
 def _reduce_against(
-    target: Dict[Tuple[JetFactor, ...], Fraction],
-    generators: List[Dict[Tuple[JetFactor, ...], Fraction]],
-) -> Dict[Tuple[JetFactor, ...], Fraction]:
+    target: Dict[TermKey, Fraction], generators: List[Dict[TermKey, Fraction]]
+) -> Dict[TermKey, Fraction]:
     """Reduce a coefficient vector modulo the span of the generators.
 
     Each column's pivot is the first unused row, in generator order, with a
     nonzero entry there; that row is eliminated from every other unused row.
     """
-    pivots: Dict[Tuple[JetFactor, ...], Dict[Tuple[JetFactor, ...], Fraction]] = {}
+    pivots: Dict[TermKey, Dict[TermKey, Fraction]] = {}
     rows = [dict(g) for g in generators if g]
     # column -> indices of the unused rows with a nonzero entry in it, so a
     # column costs the rows that hold it, not a scan of every row
-    holders: Dict[Tuple[JetFactor, ...], set] = {}
+    holders: Dict[TermKey, set] = {}
     for i, row in enumerate(rows):
         for c, v in row.items():
             if v:
@@ -255,6 +250,58 @@ def _reduce_against(
     return vec
 
 
+def reduce_mod_dx(
+    target: SymExpr,
+    rules: Optional[Mapping[JetFactor, SymExpr]] = None,
+    pool: Iterable[TermKey] = (),
+    droppable: Optional[Callable[[TermKey], bool]] = None,
+) -> Dict[TermKey, Fraction]:
+    """The residual of ``target`` modulo the dx-images of its one-lower windows.
+
+    A sector is a lam power, a field content with t-orders (formal constants
+    and ``THETA`` included) and a total x-order; its window is every monomial
+    of the same lam power and content one x-order lower.  The generators are
+    the ``dx`` images, with ``rules`` substituted when given, of the windows of
+    the target's sectors and of the ``pool`` monomials; with rules, one
+    spill-over pass adds the windows of the sectors the images reach (without
+    them an image stays in its monomial's sector).  One unit vector per key in
+    play that ``droppable`` accepts joins them.  Each sector is enumerated and
+    each image built once, and one ``_reduce_against`` call eliminates them
+    all; an empty residual certifies that the target lies in their span.
+    """
+    images: Dict[TermKey, SymExpr] = {}
+    sectors = set()
+
+    def add_image(key: TermKey) -> None:
+        if key not in images:
+            image = dx(SymExpr.monomial(1, key[1], lam=key[0]))
+            images[key] = substitute(image, rules) if rules else image
+
+    def add_windows(keys: Iterable[TermKey]) -> None:
+        for lam, factors in keys:
+            # canonical factors list equal (field, t-order) slots adjacently
+            slots, total = tuple((f.symbol, f.dt) for f in factors), sum(f.dx for f in factors)
+            if total and (lam, slots, total) not in sectors:
+                sectors.add((lam, slots, total))
+                for fs in _window_monomials(slots, total - 1):
+                    add_image((lam, fs))
+
+    add_windows(target._terms)
+    for key in pool:
+        add_image(key)
+    if rules:
+        # one spill-over pass: the windows of the sectors the summed images reach
+        spill = _accumulate(
+            (k, Fraction(n, img._den)) for img in images.values() for k, n in img._terms.items()
+        )
+        add_windows(spill)
+    generators = [_coefficient_vector(img) for img in images.values()]
+    if droppable is not None:
+        keys = set(target._terms).union(*(img._terms for img in images.values()))
+        generators += [{k: Fraction(1)} for k in keys if droppable(k)]
+    return _reduce_against(_coefficient_vector(target), generators)
+
+
 def canonical_density(e: SymExpr) -> SymExpr:
     """Integration-by-parts normal form of a density.
 
@@ -262,21 +309,4 @@ def canonical_density(e: SymExpr) -> SymExpr:
     x-derivative.
     """
     _check_component_only(e)
-    sectors: Dict[Tuple, Dict[int, Dict[Tuple[JetFactor, ...], Fraction]]] = {}
-    for key, num in e._terms.items():
-        (head, total) = _sector_of(key)
-        sectors.setdefault(head, {}).setdefault(total, {})[key[1]] = Fraction(num, e._den)
-    result = SymExpr.zero()
-    for (lam, profile), by_total in sorted(sectors.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
-        slots = [(sym, dt_order) for (_name, sym, dt_order) in profile]
-        for total, target in sorted(by_total.items()):
-            generators = []
-            if total > 0:
-                for fs in window_monomials(slots, total - 1):
-                    vec = _coefficient_vector(dx(SymExpr.monomial(1, fs)))
-                    if vec:
-                        generators.append(vec)
-            reduced = _reduce_against(target, generators)
-            for factors, coeff in reduced.items():
-                result = result + SymExpr.monomial(coeff, factors, lam=lam)
-    return result
+    return SymExpr(reduce_mod_dx(e))

@@ -486,9 +486,11 @@ def _mask_from_level(level: Sequence[int], n_grassmann: int) -> int:
 def _check_amplitudes(table, where: str) -> None:
     for k, amp in _require(table, Mapping, f"{where} must map wavenumbers to amplitudes").items():
         try:
-            int(k)
+            float(int(k))  # fourier_series multiplies the grid by it
         except ValueError:
             raise ValueError(f"{where} wavenumber {k!r} is not an integer") from None
+        except OverflowError:
+            raise ValueError(f"{where} wavenumber {k!r} is too large for a float") from None
         if not math.isfinite(_require(amp, numbers.Real, f"{where}[{k!r}] must be a number")):
             raise ValueError(f"{where}[{k!r}] must be finite, got {amp!r}")
 
@@ -546,13 +548,12 @@ def write_series_csv(path: str, traj: Trajectory) -> None:
     header += [f"H1_{mask_label(m)}" for m in e_masks]
     header += [f"H2_{mask_label(m)}" for m in e_masks]
     header.append("max_abs_ux")
+    row = ",".join(["%.12g"] + ["%.16e"] * (len(header) - 1))
     lines = [",".join(header)]
-    for sample in traj.samples:
-        row = [f"{sample.time:.12g}"]
-        row += [f"{v:.16e}" for v in sample.h1.tolist()]
-        row += [f"{v:.16e}" for v in sample.h2.tolist()]
-        row.append(f"{sample.max_abs_ux:.16e}")
-        lines.append(",".join(row))
+    lines += [
+        row % (sample.time, *sample.h1.tolist(), *sample.h2.tolist(), sample.max_abs_ux)
+        for sample in traj.samples
+    ]
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -563,7 +564,8 @@ def write_state_csv(path: str, state: GridState) -> None:
     header += [f"u_{mask_label(m)}" for m in even_masks(state.n_grassmann)]
     header += [f"xi_{mask_label(m)}" for m in odd_masks(state.n_grassmann)]
     columns = np.vstack([grid(state.n_modes), state.u, state.xi])
+    row = ",".join(["%.16e"] * len(header))
     lines = [",".join(header)]
-    lines += [",".join(f"{v:.16e}" for v in row.tolist()) for row in columns.T]
+    lines += [row % tuple(values.tolist()) for values in columns.T]
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")

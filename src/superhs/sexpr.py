@@ -12,8 +12,10 @@ Grammar (whitespace-separated s-expressions)::
     KIND    := 'field' | 'super' | 'const'
     NAME    := identifier (no whitespace or parentheses)
 
-A jet atom carries the full symbol declaration, so a parsed expression is
-self-contained; one name declared with two parities or kinds is rejected.
+Lists nest at most three deep, so deeper input is rejected before it can
+exhaust the parser's recursion.  A jet atom carries the full symbol
+declaration, so a parsed expression is self-contained; one name declared with
+two parities or kinds is rejected.
 The ``(theta)`` atom stands for ``algebra.THETA``, which is printed before the
 jets; its position in a parsed term carries no sign, and a repeated one gives
 a zero term.  Round-tripping preserves canonical form exactly.  The zero
@@ -66,14 +68,19 @@ def _tokenize(text: str) -> List[str]:
     return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
-def _parse_list(tokens: List[str], pos: int) -> Tuple[list, int]:
+_MAX_DEPTH = 3  # (sum (term (atom ...)))
+
+
+def _parse_list(tokens: List[str], pos: int, depth: int = 1) -> Tuple[list, int]:
     if tokens[pos] != "(":
         raise SExprError(f"expected '(' at token {pos}")
+    if depth > _MAX_DEPTH:
+        raise SExprError(f"lists nest deeper than {_MAX_DEPTH} at token {pos}")
     pos += 1
     items: list = []
     while pos < len(tokens) and tokens[pos] != ")":
         if tokens[pos] == "(":
-            sub, pos = _parse_list(tokens, pos)
+            sub, pos = _parse_list(tokens, pos, depth + 1)
             items.append(sub)
         else:
             items.append(tokens[pos])

@@ -6,7 +6,9 @@ evolution system itself, the two Hamiltonian operators, and one check function
 per claimed identity (geodesic derivation, bi-Hamiltonian formulation,
 Lagrangian formulation, supersymmetry invariance, superspace form, Lax-pair
 compatibility, recursion-operator eigenrelations, conservation, and the Lie
-algebra axioms).
+algebra axioms).  Conservation is decided by flux certificates, which
+``density.reduce_mod_dx`` finds on the constrained jets of the flow; this
+module uses only the public names of ``density``.
 
 Every check recomputes its identity from first principles at call time and
 carries a deliberately perturbed negative control, guarding against an engine
@@ -34,7 +36,6 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 from .algebra import (
     EVEN,
     ODD,
-    THETA,
     FieldSymbol,
     JetFactor,
     SymExpr,
@@ -53,14 +54,12 @@ from .calculus import (
     theta_expand,
 )
 from .density import (
-    _coefficient_vector,
-    _reduce_against,
     euler_xt,
     integrate_x,
     is_total_x_derivative,
     partial_jet,
+    reduce_mod_dx,
     variational_derivative,
-    window_monomials,
 )
 from .reporting import CheckResult
 from .sexpr import to_sexpr
@@ -262,6 +261,11 @@ def _exact(label: str, expr: SymExpr, failures: Failures) -> None:
         failures.append((label, expr))
 
 
+def _not_exact(label: str, expr: SymExpr, failures: Failures) -> None:
+    if is_total_x_derivative(expr):
+        failures.append((label, expr))
+
+
 CHECKS: Dict[str, Callable[[], CheckResult]] = {}
 
 
@@ -330,8 +334,7 @@ def check_bracket(failures: Failures) -> None:
     # negative control: perturb one structure coefficient of B
     bad_p0 = p0 + HALF * (dx(PSI()) * dx(PHI()))
     bad = lhs - (bad_p0 * W() - p1 * CHI())
-    if is_total_x_derivative(bad):
-        failures.append(("perturbed B still satisfies defining property", bad))
+    _not_exact("perturbed B still satisfies defining property", bad, failures)
 
 
 _EXPECTED_RHS_M = (
@@ -382,8 +385,7 @@ def check_biham(failures: Failures) -> None:
     pairing = r1 * W() + CHI() * r2
     _exact("J1 is Lie-Poisson for the bracket", pairing - (m * xy.even_part - eta * xy.odd_part), failures)
     bad = pairing - (m * xy.even_part + eta * xy.odd_part)
-    if is_total_x_derivative(bad):
-        failures.append(("sign-flipped Lie-Poisson pairing still exact", bad))
+    _not_exact("sign-flipped Lie-Poisson pairing still exact", bad, failures)
 
     # second structure: J2 composed with the inverse metric collapses to
     # (-d/dx, -1) acting on the (u, xi) gradients of H2
@@ -741,78 +743,34 @@ def check_recursion(failures: Failures) -> None:
 # conservation
 
 
+_P, _Q = P_VEL.jet(), Q_VEL.jet()
+# candidate flux monomials beyond the target's windows: p, q and their quadratic terms
+_VELOCITY_POOL = tuple((0, fs) for fs in [(_P, _P), (_P, _Q), (_P,), (_Q,)]) + tuple(
+    (0, (c.jet(), v)) for c in (A_GAUGE, B_GAUGE) for v in (_P, _Q)
+)
+
+
 def _droppable(key) -> bool:
     """Terms whose x-integral vanishes by the zero-mean gauge: const * p or const * q."""
-    _lam, factors = key
-    velocity = [f for f in factors if f.symbol in (P_VEL, Q_VEL)]
-    others = [f for f in factors if f.symbol not in (P_VEL, Q_VEL)]
-    return (
-        len(velocity) == 1
-        and velocity[0].dx == 0
-        and velocity[0].dt == 0
-        and all(f.symbol.constant for f in others)
-    )
-
-
-def _flux_certificate(target: SymExpr, rules: Mapping[JetFactor, SymExpr]) -> bool:
-    """Try to write ``target = d/dx(F) + droppable`` on the constrained jets.
-
-    F is sought in a finite pool of candidate monomials (field content of the
-    target with one x-derivative removed, one spill-over enlargement, plus the
-    quadratic velocity monomials); solved exactly by ``_reduce_against``.  A
-    found certificate proves that the integral vanishes; failure within the
-    pool reports non-conservation.
-    """
-    images: Dict[Tuple[JetFactor, ...], SymExpr] = {}
-
-    def add_candidate(fs: Tuple[JetFactor, ...]) -> None:
-        if fs not in images:
-            images[fs] = substitute(dx(SymExpr.monomial(1, fs)), rules)
-
-    def add_candidates(e: SymExpr) -> None:
-        for lam, factors in e._terms:
-            if lam or THETA in factors:
-                raise ValueError("flux certificates expect lam- and theta-free input")
-            total = sum(f.dx for f in factors)
-            if total:
-                for fs in window_monomials([(f.symbol, f.dt) for f in factors], total - 1):
-                    add_candidate(fs)
-
-    add_candidates(target)
-    for fs in [
-        (P_VEL.jet(), P_VEL.jet()),
-        (P_VEL.jet(), Q_VEL.jet()),
-        (A_GAUGE.jet(), P_VEL.jet()),
-        (B_GAUGE.jet(), P_VEL.jet()),
-        (A_GAUGE.jet(), Q_VEL.jet()),
-        (B_GAUGE.jet(), Q_VEL.jet()),
-        (P_VEL.jet(),),
-        (Q_VEL.jet(),),
-    ]:
-        add_candidate(fs)
-    spill = SymExpr.zero()
-    for img in images.values():
-        spill = spill + img
-    add_candidates(spill)
-
-    # generators: the pool images plus one unit vector per droppable monomial in play
-    keys = set(target._terms).union(*(img._terms for img in images.values()))
-    generators = [_coefficient_vector(img) for img in images.values()]
-    generators += [{k[1]: Fraction(1)} for k in keys if _droppable(k)]
-    return not _reduce_against(_coefficient_vector(target), generators)
+    fields = [f for f in key[1] if not f.symbol.constant]
+    return len(fields) == 1 and fields[0] in (_P, _Q)
 
 
 def conservation_check(density: SymExpr, system: Optional[EvolutionSystem] = None) -> bool:
     """Is d/dt of the density a total x-derivative along the flow?
 
     The time derivative is taken with the once-integrated equations of motion
-    (velocity potentials with zero spatial mean, formal gauge constants), and
-    a flux certificate is sought for it on the constrained jet space.
+    (velocity potentials with zero spatial mean, formal gauge constants).  A
+    flux certificate ``flow_dt = d/dx(F) + droppable`` is then sought on the
+    constrained jets by ``density.reduce_mod_dx``, with F in a finite pool:
+    the target's windows, the quadratic velocity monomials and one spill-over
+    pass.  A found certificate proves that the integral vanishes; failure
+    within the pool reports non-conservation.
     """
     if system is None:
         system = geodesic_system()
     rules = system.rules_velocity()
-    return _flux_certificate(substitute(dt(density), rules), rules)
+    return not reduce_mod_dx(substitute(dt(density), rules), rules, _VELOCITY_POOL, _droppable)
 
 
 @_check("conservation")

@@ -237,6 +237,8 @@ def test_sexpr_rejects_garbage():
         "(sum (term 1 (theta 7)))",
         "(sum (term 1 (jet u even field 0 0 0) (jet u odd field 0 0 0)))",
         "(sum (term 1 (jet u even field 0 0 0)) (term 1 (jet u even const 0 0 0)))",
+        "(" * 3000,  # nesting beyond the grammar's depth of 3, not a RecursionError
+        "(sum (term 1 " + "(" * 3000 + "lam 1" + ")" * 3000 + "))",
     ):
         with pytest.raises(SExprError):
             from_sexpr(text)

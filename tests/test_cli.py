@@ -190,9 +190,10 @@ def test_simulate_rejects_bad_settings_exits_2(tmp_path, capsys, monkeypatch, ov
         ({"xi": [{"level": [1], "coss": {"1": 0.1}}]}, "in an initial xi entry: coss"),
         ({"xi": [{"level": ["1"], "cos": {"1": 0.1}}]}, "a generator index must be an integer, got '1'"),
         ({"u": [{"level": [], "sin": {"one": 1.0}}]}, "initial u sin wavenumber 'one'"),
+        ({"u": [{"level": [], "cos": {"1" + "0" * 400: 1.0}}]}, "is too large for a float"),
     ],
     ids=["list", "u-number", "level-number", "cos-list", "amplitude-null", "amplitude-nan",
-         "unknown-field", "unknown-entry-key", "index-string", "wavenumber-word"],
+         "unknown-field", "unknown-entry-key", "index-string", "wavenumber-word", "wavenumber-huge"],
 )
 def test_simulate_rejects_bad_initial_data_exits_2(tmp_path, capsys, initial, message):
     cfg = write_config(tmp_path / "cfg.json", initial=initial)

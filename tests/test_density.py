@@ -171,6 +171,16 @@ def test_canonical_density_is_idempotent_and_class_invariant():
         assert canonical_density(e + dx(random_x_poly(rng, (u, v, xi)))) == canon
 
 
+def test_canonical_density_is_the_sum_of_its_sector_normal_forms():
+    # lam powers and theta split a density into sectors that reduce independently
+    rng = random.Random(41)
+    lam, theta = lam_power(1), theta_factor()
+    for _ in range(30):
+        e1, e2, e3 = (random_x_poly(rng, (u, v, xi)) for _ in range(3))
+        parts = canonical_density(e1) + lam * canonical_density(e2) + theta * canonical_density(e3)
+        assert canonical_density(e1 + lam * e2 + theta * e3) == parts
+
+
 def test_densities_equal_berezin_measure():
     # a full superderivative integrates to zero against dx dtheta
     f_expr = u() * xi(dx=1) + theta_factor() * (u() * u(dx=1))
@@ -203,9 +213,9 @@ def _dense_rank(rows, columns):
 
 
 def test_reduce_against_decides_span_membership_randomized():
-    # columns are factor tuples, as in canonical_density and the flux certificates
-    columns = [(u.jet(dx=k),) for k in range(4)] + [
-        (u.jet(dx=i), v.jet(dx=j)) for i in range(2) for j in range(3)
+    # columns are term keys, as in reduce_mod_dx
+    columns = [(0, (u.jet(dx=k),)) for k in range(4)] + [
+        (0, (u.jet(dx=i), v.jet(dx=j))) for i in range(2) for j in range(3)
     ]
     coeffs = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
     rng = random.Random(20)
@@ -272,7 +282,7 @@ def _scan_reduce(target, generators):
 
 
 def test_reduce_against_matches_scanning_reference_in_canonical_density(monkeypatch):
-    # every elimination canonical_density runs on random products, seeds 1-60:
+    # the one elimination canonical_density runs per random product, seeds 1-60:
     # the same residual, in the same key order, as the row-scanning loop
     systems = []
 
@@ -287,7 +297,7 @@ def test_reduce_against_matches_scanning_reference_in_canonical_density(monkeypa
         rng = random.Random(seed)
         a, b = random_expr(rng), random_expr(rng)
         canonical_density(a * b)
-    assert len(systems) > 60 and max(systems) > 1000
+    assert len(systems) == 60 and max(systems) > 1000
 
 
 def _spectral_dx(arr, order=1):

@@ -42,6 +42,21 @@ def test_symbolic_modules_import_no_numerics():
         assert not bad, f"superhs.{module} imports {sorted(bad)}"
 
 
+def _private_names_from(path: Path, module: str) -> set:
+    """Underscore names the file imports from ``module`` (relative or absolute)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
+            names.update(alias.name for alias in node.names if alias.name.startswith("_"))
+    return names
+
+
+def test_structures_imports_no_private_density_names():
+    # negative control: the density tests do reach into the eliminator
+    assert "_reduce_against" in _private_names_from(ROOT / "tests" / "test_density.py", "density")
+    assert not _private_names_from(PACKAGE / "structures.py", "density")
+
+
 def test_package_draws_no_random_numbers():
     # the checks are fixed identities; seeded sampling lives in the tests
     assert "random" in _imported_modules(ROOT / "tests" / "helpers.py")  # negative control
