@@ -2,36 +2,31 @@
 
 A density is the integrand ``SymExpr`` of an x-integral, considered up to
 total x-derivatives.  A superspace integrand is first reduced to one by
-``calculus.berezin``.
+``calculus.berezin``.  The odd variational derivative follows the convention
+in which the gradient multiplies the variation from the left,
+``delta F = integral (dF/df) * df``; operationally that is the right partial
+derivative (the factor is commuted to the right end of the monomial before
+being stripped).  This is the convention under which the gradients of the
+quadratic and cubic invariants take their standard closed forms, and it is
+pinned by tests before any dependent check runs.
 
-Exactness is shown by a witness: ``integrate_x`` builds the antiderivative F
-by the homotopy operator, and ``e`` is a total x-derivative iff ``dx(F) == e``.
-The same F gives the solver its once-integrated potentials.  The odd
-variational derivative follows the convention in which the gradient
-multiplies the variation from the left, ``delta F = integral (dF/df) * df``;
-operationally that is the right partial derivative (the factor is commuted to
-the right end of the monomial before being stripped).  This is the convention
-under which the gradients of the quadratic and cubic invariants take their
-standard closed forms, and it is pinned by tests before any dependent check
-runs.
-
-``reduce_mod_dx`` is the one reducer modulo exact terms, the
+``reduce_mod_dx`` is the one engine modulo exact terms, the
 undetermined-coefficient method of Goktas & Hereman (J. Symb. Comput. 24,
 1997).  Within each finite sector (fixed lam power, field content and total
 x-order; theta is an odd constant factor, so it is part of the field content)
-the subspace of exact terms is spanned by derivatives of the one-lower
-sector, its window.  The reducer builds those images once, optionally under
-substitution rules and with extra candidate monomials, and reduces the target
-against them by exact Gaussian elimination in one ``_reduce_against`` call,
-the only eliminator in the package.  ``canonical_density`` is its residual:
-monomials concentrating derivatives on few factors are eliminated first, so
-one integration by parts sends ``u*u_xx`` to ``-u_x**2``.  The flux
-certificates of ``structures.conservation_check`` are its empty residuals on
-the constrained jets of the flow.
+the exact terms are spanned by the derivatives of the one-lower sector, its
+window.  One ``_reduce_against`` call, the only eliminator in the package,
+reduces the target against those images, and tags on the image rows give the
+witness F with ``target == dx(F) + residual``.  ``canonical_density`` is the
+residual (``u*u_xx`` goes to ``-u_x**2``), ``is_total_x_derivative`` an empty
+residual, ``integrate_x`` the witness, which gives the solver its
+once-integrated potentials, and ``structures.conservation_check`` an empty
+residual on the constrained jets of the flow, whose witness is the flux.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import ODD, FieldSymbol, JetFactor, SymExpr, TermKey, _accumulate, _reduced, _sort_factors
@@ -106,52 +101,6 @@ def variational_derivative(density: SymExpr, field: FieldSymbol) -> SymExpr:
 
 
 # ---------------------------------------------------------------------------
-# exactness
-
-
-def integrate_x(e: SymExpr) -> SymExpr:
-    """The x-antiderivative of ``e`` with no field-free term, by the homotopy operator.
-
-    On the part of ``e`` of field degree d (formal constants and ``THETA`` are
-    coefficients) it is (1/d) sum over jets f_i of sum_{j<i} ((-D)**(i-1-j)
-    dR e/df_i) * f_j, with dR = ``partial_jet`` and f_j the same field at
-    x-order j (Olver, section 5.4; Hereman et al., "Continuous and discrete
-    homotopy operators", 2005).  It is checked by ``dx``: a field-free term or
-    any other non-exact ``e`` raises ``ValueError``.
-    """
-    by_degree: Dict[int, Dict[TermKey, int]] = {}
-    for key, num in e._terms.items():
-        by_degree.setdefault(sum(not f.symbol.constant for f in key[1]), {})[key] = num
-    by_degree.pop(0, None)  # field-free terms have no antiderivative; dx below catches them
-    antiderivative = SymExpr.zero()
-    for degree, nums in by_degree.items():
-        part = _reduced(nums, e._den * degree)
-        for jet in part.jet_factors():
-            term = partial_jet(part, jet)
-            for j in reversed(range(jet.dx)):
-                antiderivative = antiderivative + term * jet.symbol(j, jet.dt, jet.dtheta)
-                term = -dx(term)
-    if dx(antiderivative) != e:
-        raise ValueError("not a total x-derivative")  # no formatting: callers probe many inputs
-    return antiderivative
-
-
-def is_total_x_derivative(e: SymExpr) -> bool:
-    """True iff ``e`` is d/dx of a differential polynomial: ``integrate_x`` finds its witness."""
-    _check_component_only(e)
-    try:
-        integrate_x(e)
-    except ValueError:
-        return False
-    return True
-
-
-def equals_mod_dx(e1: SymExpr, e2: SymExpr) -> bool:
-    """True iff ``e1 - e2`` is a total x-derivative."""
-    return is_total_x_derivative(e1 - e2)
-
-
-# ---------------------------------------------------------------------------
 # reduction modulo exact terms
 
 
@@ -205,6 +154,15 @@ def _elimination_key(key: TermKey):
     )
 
 
+class _Tag:
+    """Witness column of a ``dx`` image row, keyed by its source monomial; equal only to itself."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: TermKey):
+        self.key = key
+
+
 def _reduce_against(
     target: Dict[TermKey, Fraction], generators: List[Dict[TermKey, Fraction]]
 ) -> Dict[TermKey, Fraction]:
@@ -212,6 +170,9 @@ def _reduce_against(
 
     Each column's pivot is the first unused row, in generator order, with a
     nonzero entry there; that row is eliminated from every other unused row.
+    ``_Tag`` entries ride along in every row operation but are never pivots,
+    so on the result they hold minus the weight with which each tagged
+    generator was taken off the target.
     """
     pivots: Dict[TermKey, Dict[TermKey, Fraction]] = {}
     rows = [dict(g) for g in generators if g]
@@ -220,7 +181,7 @@ def _reduce_against(
     holders: Dict[TermKey, set] = {}
     for i, row in enumerate(rows):
         for c, v in row.items():
-            if v:
+            if v and not isinstance(c, _Tag):  # so a tag never becomes a column
                 holders.setdefault(c, set()).add(i)
     columns = sorted(set(holders) | set(target), key=_elimination_key, reverse=True)
     for col in columns:
@@ -255,8 +216,8 @@ def reduce_mod_dx(
     rules: Optional[Mapping[JetFactor, SymExpr]] = None,
     pool: Iterable[TermKey] = (),
     droppable: Optional[Callable[[TermKey], bool]] = None,
-) -> Dict[TermKey, Fraction]:
-    """The residual of ``target`` modulo the dx-images of its one-lower windows.
+) -> Tuple[Dict[TermKey, Fraction], SymExpr]:
+    """The residual of ``target`` modulo the dx-images of its one-lower windows, and its witness.
 
     A sector is a lam power, a field content with t-orders (formal constants
     and ``THETA`` included) and a total x-order; its window is every monomial
@@ -267,8 +228,13 @@ def reduce_mod_dx(
     them an image stays in its monomial's sector).  One unit vector per key in
     play that ``droppable`` accepts joins them.  Each sector is enumerated and
     each image built once, and one ``_reduce_against`` call eliminates them
-    all; an empty residual certifies that the target lies in their span.
+    all.  Each image row carries a ``_Tag`` of its source monomial, and the
+    tags give the witness F with ``target == dx(F)`` (under ``rules``) plus
+    droppable terms plus the residual; an empty residual certifies that the
+    target lies in the span.  A superspace jet raises ``ValueError``: the
+    windows hold no theta-derivatives.
     """
+    _check_component_only(target)
     images: Dict[TermKey, SymExpr] = {}
     sectors = set()
 
@@ -295,11 +261,14 @@ def reduce_mod_dx(
             (k, Fraction(n, img._den)) for img in images.values() for k, n in img._terms.items()
         )
         add_windows(spill)
-    generators = [_coefficient_vector(img) for img in images.values()]
+    generators = [{**_coefficient_vector(img), _Tag(key): Fraction(1)} for key, img in images.items()]
     if droppable is not None:
-        keys = set(target._terms).union(*(img._terms for img in images.values()))
+        keys = dict.fromkeys(chain(target._terms, *(img._terms for img in images.values())))
         generators += [{k: Fraction(1)} for k in keys if droppable(k)]
-    return _reduce_against(_coefficient_vector(target), generators)
+    reduced = _reduce_against(_coefficient_vector(target), generators)
+    residual = {k: v for k, v in reduced.items() if not isinstance(k, _Tag)}
+    witness = SymExpr({k.key: -v for k, v in reduced.items() if isinstance(k, _Tag)})
+    return residual, witness
 
 
 def canonical_density(e: SymExpr) -> SymExpr:
@@ -308,5 +277,31 @@ def canonical_density(e: SymExpr) -> SymExpr:
     Two densities have equal canonical forms iff they differ by a total
     x-derivative.
     """
-    _check_component_only(e)
-    return SymExpr(reduce_mod_dx(e))
+    return SymExpr(reduce_mod_dx(e)[0])
+
+
+# ---------------------------------------------------------------------------
+# exactness
+
+
+def integrate_x(e: SymExpr) -> SymExpr:
+    """The x-antiderivative of ``e`` with no field-free term: the witness of ``reduce_mod_dx``.
+
+    Without rules ``dx`` is injective on window monomials, which always hold a
+    field, so this F is unique.  It is checked by ``dx``: a field-free term or
+    any other non-exact ``e`` raises ``ValueError``.
+    """
+    residual, antiderivative = reduce_mod_dx(e)
+    if residual or dx(antiderivative) != e:
+        raise ValueError("not a total x-derivative")  # no formatting: callers probe many inputs
+    return antiderivative
+
+
+def is_total_x_derivative(e: SymExpr) -> bool:
+    """True iff ``e`` is d/dx of a differential polynomial: its residual modulo dx is empty."""
+    return not reduce_mod_dx(e)[0]
+
+
+def equals_mod_dx(e1: SymExpr, e2: SymExpr) -> bool:
+    """True iff ``e1 - e2`` is a total x-derivative."""
+    return is_total_x_derivative(e1 - e2)

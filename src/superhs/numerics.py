@@ -461,13 +461,13 @@ def residual_check(traj: Trajectory) -> float:
 
 
 def fourier_series(n_modes: int, cos_amps: Mapping, sin_amps: Mapping) -> np.ndarray:
-    """Real trigonometric polynomial from {wavenumber: amplitude} tables."""
+    """Real trigonometric polynomial from {wavenumber: amplitude} tables (k reduced mod n in integers)."""
     x = grid(n_modes)
     out = np.zeros(n_modes)
     for k, amp in cos_amps.items():
-        out += float(amp) * np.cos(int(k) * x)
+        out += float(amp) * np.cos(int(k) % n_modes * x)
     for k, amp in sin_amps.items():
-        out += float(amp) * np.sin(int(k) * x)
+        out += float(amp) * np.sin(int(k) % n_modes * x)
     return out
 
 
@@ -486,7 +486,7 @@ def _mask_from_level(level: Sequence[int], n_grassmann: int) -> int:
 def _check_amplitudes(table, where: str) -> None:
     for k, amp in _require(table, Mapping, f"{where} must map wavenumbers to amplitudes").items():
         try:
-            float(int(k))  # fourier_series multiplies the grid by it
+            float(int(k))  # a wavenumber past the float range is a configuration error
         except ValueError:
             raise ValueError(f"{where} wavenumber {k!r} is not an integer") from None
         except OverflowError:

@@ -770,7 +770,7 @@ def conservation_check(density: SymExpr, system: Optional[EvolutionSystem] = Non
     if system is None:
         system = geodesic_system()
     rules = system.rules_velocity()
-    return not reduce_mod_dx(substitute(dt(density), rules), rules, _VELOCITY_POOL, _droppable)
+    return not reduce_mod_dx(substitute(dt(density), rules), rules, _VELOCITY_POOL, _droppable)[0]
 
 
 @_check("conservation")

@@ -12,6 +12,7 @@ from superhs.numerics import (
     conserved_quantities,
     evaluate,
     evolve,
+    fourier_series,
     grid,
     initial_state,
     residual_check,
@@ -440,6 +441,14 @@ def test_initial_state_parsing_and_validation():
         initial_state({"xi": [{"level": [1, 2], "cos": {"1": 1.0}}]}, cfg)
     with pytest.raises(ValueError):
         initial_state({"xi": [{"level": [3], "cos": {"1": 1.0}}]}, cfg)
+
+
+@pytest.mark.parametrize("k", [64 + 1, 2**53 + 1, 10**30 + 1])
+def test_wavenumbers_alias_exactly_on_the_grid(k):
+    # on 64 points mode k is mode k mod 64; a k past 2**53 must not be rounded first
+    x = grid(64)
+    assert np.array_equal(fourier_series(64, {str(k): 1.0}, {}), np.cos((k % 64) * x))
+    assert np.array_equal(fourier_series(64, {}, {str(k): 1.0}), np.sin((k % 64) * x))
 
 
 def test_csv_writers(tmp_path):

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from superhs.algebra import EVEN, ODD, FieldSymbol, ParityError, SymExpr, lam_power, theta_factor
-from superhs.calculus import dx, substitute, theta_expand
+from superhs.calculus import dt, dx, substitute, theta_expand
 from superhs import structures
-from superhs.density import equals_mod_dx, is_total_x_derivative
+from superhs.density import equals_mod_dx, is_total_x_derivative, reduce_mod_dx
 from superhs.sexpr import to_sexpr
 from helpers import random_element, random_x_poly, sampled_lie_failures
 from superhs.structures import (
@@ -265,6 +265,26 @@ def test_hamiltonians_conserved_and_control_rejected():
     assert conservation_check(h1, system)
     assert conservation_check(h2, system)
     assert not conservation_check(U() ** 2, system)
+
+
+def test_flux_certificates_hold_on_the_constrained_jets():
+    # the witness of reduce_mod_dx is a flux F: what d/dt(rho) leaves after
+    # d/dx(F), both under the velocity rules, is const * p or const * q
+    system = geodesic_system()
+    rules = system.rules_velocity()
+    h1, h2 = hamiltonian_densities()
+
+    def certificate(rho):
+        flow_dt = substitute(dt(rho), rules)
+        residual, flux = reduce_mod_dx(flow_dt, rules, structures._VELOCITY_POOL, structures._droppable)
+        return flow_dt, residual, flux
+
+    for rho in (h1, h2, U(dx=1) * XI(dx=1)):
+        flow_dt, residual, flux = certificate(rho)
+        assert not residual
+        leftover = flow_dt - substitute(dx(flux), rules)
+        assert all(structures._droppable(key) for key, _c in leftover.terms())
+    assert certificate(U() ** 2)[1]
 
 
 def test_quadratic_density_conserved_only_for_bosonic_flow():
