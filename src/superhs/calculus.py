@@ -10,9 +10,11 @@ factors before it.  Substitution and first variations splice a replacement's
 terms into a monomial with ``_splice`` and canonicalise once.
 
 ``jet_derivative`` is the one routine that differentiates up to a jet's order
-(d/dt j times, then ``superD`` or ``dx`` k times).  Prolongation of a rule,
-the variation of a jet and the Euler operators of ``density`` all call it.
-Rules and variations are checked by ``algebra.require_parity``.
+(d/dt j times, then ``superD`` or ``dx`` k times); ``_prolong`` caches it per
+rule and derivative order.  Substitution rules and first variations both go
+through ``_prolong``: a variation is a rule keyed on the base field.  The
+Euler operators of ``density`` call ``jet_derivative`` directly.  Rules and
+variations are checked by ``algebra.require_parity``.
 
 Conventions fixed here:
 
@@ -236,27 +238,20 @@ def substitute(
 def first_variation(e: SymExpr, variations: Mapping[FieldSymbol, SymExpr]) -> SymExpr:
     """Linearise ``e`` along a field variation, replacing jets in place.
 
-    The variation of a jet is the corresponding derivative of the variation of
-    the base field; graded reordering signs are produced by canonicalisation
-    of the spliced product.
+    The variation of a jet is the variation of the base field prolonged to
+    that jet by ``_prolong``, as for a substitution rule keyed on the field;
+    graded reordering signs are produced by canonicalisation of the spliced
+    product.
     """
     for sym, delta in variations.items():
         require_parity(delta, sym.parity, f"variation of {sym.name}")
     den = lcm(*(delta._den for delta in variations.values()))
-    cache: Dict[JetFactor, Dict[TermKey, int]] = {}
-
-    def _delta_jet(f: JetFactor) -> Dict[TermKey, int]:
-        """The numerators over ``den`` of the variation of the jet ``f``."""
-        if f not in cache:
-            delta = jet_derivative(variations[f.symbol], f.dt, _order(f), f.symbol.superspace)
-            cache[f] = _over(delta, den)
-        return cache[f]
-
+    cache: Dict[Tuple[JetFactor, int, int], Dict[TermKey, int]] = {}
     spliced = (
         term
         for key, num in e._terms.items()
         for i, f in enumerate(key[1])
         if f.symbol in variations
-        for term in _splice(key, num, i, _delta_jet(f))
+        for term in _splice(key, num, i, _prolong(variations[f.symbol], f.symbol.jet(), f, den, cache))
     )
     return _reduced(_accumulate(spliced), e._den * den)

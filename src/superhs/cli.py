@@ -77,7 +77,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _drift_summary(traj) -> dict:
-    """Per-level drift of H1 and H2: the body and every level nonzero in some sample."""
+    """Per-level drift of H1 and H2: the body and every level nonzero in some sample.
+
+    ``max_rel_drift`` is the drift over max(|initial|, S), S the level's largest
+    L1 norm over the samples, so a level that integrates to zero does not read
+    roundoff over roundoff; a level whose S is 0 reports 0.
+    """
     from .grassmann import even_masks
     from .numerics import mask_label
 
@@ -89,11 +94,12 @@ def _drift_summary(traj) -> dict:
                 continue
             initial = values[0]
             drift = max(abs(v - initial) for v in values)
-            scale = max(abs(initial), 1e-30)
+            l1 = max(float(getattr(s, f"{name}_l1")[row]) for s in traj.samples)
+            scale = max(abs(initial), l1)
             out[f"{name.upper()}_{mask_label(m)}"] = {
                 "initial": initial,
                 "max_abs_drift": drift,
-                "max_rel_drift": drift / scale,
+                "max_rel_drift": drift / scale if scale else 0.0,
             }
     return out
 
@@ -112,7 +118,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         cfg, init_spec = load_config(args.config)
         state0 = initial_state(init_spec, cfg)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # too deeply nested JSON recurses
         print(f"error: bad configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -157,7 +163,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         try:
             with open(path) as handle:
                 report = VerificationReport.from_json(handle.read())
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             print(f"error: cannot read report {path}: {exc}", file=sys.stderr)
             return EXIT_USAGE
         print(f"== {path}")

@@ -373,26 +373,38 @@ def step(state: GridState, cfg: SolverConfig) -> GridState:
     return new
 
 
+def _invariants_with_l1(state: GridState) -> Tuple[Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]]:
+    """H1 and H2 and their L1 norms 2*pi*mean_x|integrand|, each per ``even_masks(N)`` level."""
+    orders, densities = _system_terms()["invariants"]
+    stacks = _jet_stacks(state, orders)
+    integrals, l1_norms = [], []
+    for terms in densities:
+        rho = _sum_products(terms, stacks, state.n_grassmann)
+        # adding 0.0 turns a -0.0 into 0.0, so a level that vanishes always prints as 0
+        integrals.append(rho.mean(axis=-1) * TWO_PI + 0.0)
+        l1_norms.append(np.abs(rho, out=rho).mean(axis=-1) * TWO_PI)
+        del rho  # so that the next integrand is not built beside this one
+    return tuple(integrals), tuple(l1_norms)
+
+
 def conserved_quantities(state: GridState) -> Tuple[np.ndarray, np.ndarray]:
     """Spectral quadrature of H1 and H2, the densities of ``hamiltonian_densities()``.
 
     Each is an ``(n_even,)`` array, one entry per ``even_masks(N)`` level.
     """
-    orders, densities = _system_terms()["invariants"]
-    stacks = _jet_stacks(state, orders)
-    # adding 0.0 turns a -0.0 into 0.0, so a level that vanishes always prints as 0
-    return tuple(
-        _sum_products(terms, stacks, state.n_grassmann).mean(axis=-1) * TWO_PI + 0.0
-        for terms in densities
-    )
+    return _invariants_with_l1(state)[0]
 
 
 @dataclass
 class ConservedSample:
+    """H1 and H2 per level at one time, with their L1 norms 2*pi*mean|integrand|."""
+
     time: float
     h1: np.ndarray
     h2: np.ndarray
     max_abs_ux: float
+    h1_l1: np.ndarray
+    h2_l1: np.ndarray
 
 
 @dataclass
@@ -411,9 +423,12 @@ def evolve(state0: GridState, cfg: SolverConfig) -> Trajectory:
     traj = Trajectory()
 
     def record(s: GridState) -> None:
-        h1, h2 = conserved_quantities(s)
+        integrals, l1_norms = _invariants_with_l1(s)
+        # ``step`` returns fresh arrays, but they were allocated among its
+        # temporaries; under glibc malloc, keeping them instead of a copy
+        # fragments the heap (peak RSS 44.7 -> 48.0 MB at N=6, n=1024)
         traj.states.append(s.copy())
-        traj.samples.append(ConservedSample(s.time, h1, h2, s.max_abs_ux()))
+        traj.samples.append(ConservedSample(s.time, *integrals, s.max_abs_ux(), *l1_norms))
 
     state = state0.copy()
     record(state)

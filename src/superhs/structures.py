@@ -176,23 +176,23 @@ class EvolutionSystem:
         require_parity(self.rhs_m, EVEN, "rhs_m")
         require_parity(self.rhs_eta, ODD, "rhs_eta")
 
-    def rules_second_order(self) -> Dict[JetFactor, SymExpr]:
-        """Replacement rules u_txx -> ..., xi_txx -> ... (prolongation-closed)."""
-        return {
-            U.jet(dx=2, dt=1): -self.rhs_m,
-            XI.jet(dx=2, dt=1): -self.rhs_eta,
-        }
+    @functools.cached_property
+    def _potentials(self) -> Tuple[SymExpr, SymExpr]:
+        return -integrate_x(self.rhs_m), -integrate_x(self.rhs_eta)
 
     def once_integrated_potentials(self) -> Tuple[SymExpr, SymExpr]:
         """Local parts of u_tx and xi_tx on the circle (gauge constants apart).
 
-        The x-antiderivatives of -rhs_m and -rhs_eta, from ``integrate_x``;
-        a right-hand side that is not a total x-derivative raises ``ValueError``.
+        The x-antiderivatives of -rhs_m and -rhs_eta, from ``integrate_x`` once per
+        system; a right-hand side that is not a total x-derivative raises ``ValueError``.
         """
-        return -integrate_x(self.rhs_m), -integrate_x(self.rhs_eta)
+        return self._potentials
 
     def rules_velocity(self) -> Dict[JetFactor, SymExpr]:
-        """Full flow rules with zero-mean velocity potentials p = u_t, q = xi_t."""
+        """The flow's one rule set: zero-mean velocity potentials p = u_t, q = xi_t.
+
+        Prolongation gives u_txx -> p_xx -> -rhs_m and xi_txx -> q_xx -> -rhs_eta.
+        """
         pot_u, pot_xi = self.once_integrated_potentials()
         return {
             U.jet(dt=1): P_VEL(),
@@ -431,10 +431,9 @@ def action_density() -> SymExpr:
 
 @_check("lagrangian")
 def check_lagrangian(failures: Failures) -> None:
-    """Space-time Euler operators of the action vanish on the flow."""
+    """Space-time Euler operators of the action vanish on the flow (``rules_velocity``)."""
     sigma = action_density()
-    system = geodesic_system()
-    rules = system.rules_second_order()
+    rules = geodesic_system().rules_velocity()
 
     e_u = euler_xt(sigma, U)
     e_xi = euler_xt(sigma, XI)
@@ -470,9 +469,9 @@ def susy_variation() -> Mapping[FieldSymbol, SymExpr]:
 
 @_check("susy")
 def check_susy(failures: Failures) -> None:
-    """First-order invariance of both equations under the odd transformation."""
+    """First-order invariance of both equations under the odd transformation (``rules_velocity``)."""
     system = geodesic_system()
-    rules = system.rules_second_order()
+    rules = system.rules_velocity()
     residual_1 = U(dx=2, dt=1) + system.rhs_m
     residual_2 = XI(dx=2, dt=1) + system.rhs_eta
 

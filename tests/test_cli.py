@@ -114,6 +114,7 @@ def test_simulate_zero_data(tmp_path):
     assert set(summary["conservation"]) == {"H1_body", "H2_body"}
     for record in summary["conservation"].values():
         assert record["max_abs_drift"] == 0.0
+        assert record["max_rel_drift"] == 0.0  # a level whose scale is 0 reports 0
     assert (out_dir / "series.csv").exists()
     assert (out_dir / "final_state.csv").exists()
 
@@ -126,6 +127,11 @@ def test_simulate_records_conservation(tmp_path):
     assert summary["status"] == "ok"
     assert set(summary["conservation"]) == {"H1_body", "H1_12", "H2_body", "H2_12"}
     assert summary["conservation"]["H1_body"]["max_rel_drift"] < 1e-8
+    # H2 integrates to zero on both levels, so its drift over |initial| alone
+    # would be roundoff over roundoff; over the level's L1 norm it is roundoff
+    assert abs(summary["conservation"]["H2_body"]["initial"]) < 1e-15
+    for level, record in summary["conservation"].items():
+        assert record["max_rel_drift"] <= 1e-10, level
     assert "residual_check" in summary
 
 
@@ -148,6 +154,11 @@ def test_simulate_malformed_config_exits_2(tmp_path, capsys):
 
     wrong = write_config(tmp_path / "wrong.json", n_modes=77)
     assert main(["simulate", "--config", str(wrong), "--out-dir", str(tmp_path / "o2")]) == 2
+
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000)
+    assert main(["simulate", "--config", str(nested), "--out-dir", str(tmp_path / "o3")]) == 2
+    assert "error: bad configuration" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -280,13 +291,15 @@ def test_report_requires_files():
         {"entries": []},
         {"entries": [{"check_id": "geodesic", "passed": "false"}]},
         {"entries": [{"check_id": "geodesic", "passed": True, "elapsed": True}]},
+        "[" * 100_000,
     ],
     ids=["unknown-key", "top-level-list", "entry-not-object", "entries-string",
-         "no-entries", "passed-string", "elapsed-bool"],
+         "no-entries", "passed-string", "elapsed-bool", "deeply-nested"],
 )
 def test_report_rejects_malformed_file_exits_2(tmp_path, capsys, payload):
+    # a string payload is the file's raw text
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     assert main(["report", str(path)]) == 2
     captured = capsys.readouterr()
     assert "error: cannot read report" in captured.err

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from superhs.algebra import EVEN, ODD, FieldSymbol, ParityError, SymExpr, lam_power, theta_factor
-from superhs.calculus import dt, dx, substitute, theta_expand
+from superhs.calculus import dt, dx, first_variation, substitute, theta_expand
 from superhs import structures
-from superhs.density import equals_mod_dx, is_total_x_derivative, reduce_mod_dx
+from superhs.density import equals_mod_dx, euler_xt, integrate_x, is_total_x_derivative, reduce_mod_dx
 from superhs.sexpr import to_sexpr
 from helpers import random_element, random_x_poly, sampled_lie_failures
 from superhs.structures import (
@@ -25,6 +25,8 @@ from superhs.structures import (
     EvolutionSystem,
     LaxAnsatz,
     LaxBasisError,
+    TAU,
+    action_density,
     apply_J1,
     apply_J2,
     bilinear_B,
@@ -42,6 +44,7 @@ from superhs.structures import (
     SUITE_NAMES,
     superfield_u_components,
     superspace_rhs,
+    susy_variation,
 )
 
 HALF = Fraction(1, 2)
@@ -163,6 +166,42 @@ def test_non_exact_rhs_has_no_potential():
         system.once_integrated_potentials()
     with pytest.raises(ValueError, match="not a total x-derivative"):
         system.rules_velocity()
+
+
+def test_velocity_rules_prolong_to_the_second_order_rules():
+    # the flow's one rule set, prolonged, makes the replacements of the
+    # second-order rules u_txx -> -rhs_m, xi_txx -> -rhs_eta
+    system = geodesic_system()
+    second_order = {U.jet(dx=2, dt=1): -system.rhs_m, XI.jet(dx=2, dt=1): -system.rhs_eta}
+    sigma = action_density()
+    line_1 = U(dx=2, dt=1) + system.rhs_m
+    line_2 = XI(dx=2, dt=1) + system.rhs_eta
+    perturbed = {U: TAU() * XI(dx=1), XI: TAU() * U(dx=1)}
+    targets = {
+        "dx(E_u)": dx(euler_xt(sigma, U)),
+        "E_xi": euler_xt(sigma, XI),
+        "susy line 1": first_variation(line_1, susy_variation()),
+        "susy line 2": first_variation(line_2, susy_variation()),
+        "perturbed variation": first_variation(line_2, perturbed),
+    }
+    for label, target in targets.items():
+        assert substitute(target, system.rules_velocity()) == substitute(target, second_order), label
+    assert substitute(targets["perturbed variation"], second_order)
+
+
+def test_conservation_check_derives_the_potentials_once(monkeypatch):
+    calls = []
+
+    def counting(e):
+        calls.append(e)
+        return integrate_x(e)
+
+    monkeypatch.setattr(structures, "integrate_x", counting)
+    assert structures.check_conservation().passed
+    assert len(calls) == 2
+    calls.clear()
+    assert all(result.passed for result in run_suite(SUITE_NAMES))
+    assert len(calls) <= 6
 
 
 def test_apply_J1_on_first_gradients():
