@@ -12,9 +12,17 @@ one row per mask of its parity, in ``even_masks(N)``/``odd_masks(N)`` order
 points.  ``gmul_stack`` multiplies two stacks; ``numerics``, which evaluates
 expressions and integrates the system on stacks, uses it and no other
 product.  Parities are the 0/1 of ``algebra.EVEN``/``algebra.ODD``.
+
+The product is a loop over the nonzero mask pairs of ``_product_table``, one
+row of ``a`` times one row of ``b`` added into or subtracted from one output
+row.  An even ``a`` first contributes its body row times all of ``b`` in one
+broadcast multiply; the loop then holds only the pairs whose ``a`` row is a
+soul (a mask with generators).  Rows are views taken once per call and each
+pair's product goes through one scratch row, so the loop allocates nothing.
 """
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Iterable, Tuple
 
@@ -51,11 +59,16 @@ def mask_row(mask: int) -> int:
 
 @lru_cache(maxsize=None)
 def _product_table(n_generators: int, parity_a: int, parity_b: int) -> Tuple[int, tuple]:
-    """Output row count and the nonzero ``(row_a, row_b, row_out, sign)`` pairs."""
+    """Output row count and the nonzero ``(row_a, row_b, row_out, sign)`` pairs.
+
+    The body of ``a`` (mask 0) is left out: ``gmul_stack`` multiplies it in
+    by one broadcast before the loop.
+    """
     masks = (even_masks(n_generators), odd_masks(n_generators))
     pairs = tuple(
         (mask_row(ma), mask_row(mb), mask_row(ma | mb), sign)
         for ma in masks[parity_a]
+        if ma
         for mb in masks[parity_b]
         if (sign := merge_sign(ma, mb))
     )
@@ -68,16 +81,30 @@ def gmul_stack(
     """Pointwise product of two level stacks of ``Lambda_N``, with ``merge_sign``'s signs.
 
     Rows follow ``even_masks(N)`` (parity 0) or ``odd_masks(N)`` (parity 1);
-    the result is the stack of parity ``parity_a ^ parity_b``.
+    the result is the stack of parity ``parity_a ^ parity_b``, with the point
+    axes that ``a`` and ``b`` share.  Each output row sums its products in
+    ``_product_table`` order, an even ``a``'s body product first.  That one is
+    written over the zeros instead of added to them, which gives the same
+    floats, except that an exact zero may come out as -0.0.
     """
     n_out, pairs = _product_table(n_generators, parity_a, parity_b)
-    out = np.zeros((n_out,) + a.shape[1:])
+    points = a.shape[1:]
+    size = math.prod(points)
+    out = np.zeros((n_out,) + points)
+    # 2-D, so that rows are views: a 1-D stack iterates as scalars, which += cannot write back
+    a2, b2, out2 = (x.reshape(len(x), size) for x in (a, b, out))
+    if not parity_a:
+        # into the zeros, not a fresh product: that array raised peak RSS
+        np.multiply(a2[0], b2, out=out2)
+    rows_a, rows_b, rows_out = list(a2), list(b2), list(out2)
+    product = np.empty(size)
     for row_a, row_b, row_out, sign in pairs:
+        np.multiply(rows_a[row_a], rows_b[row_b], out=product)
         # add or subtract instead of scaling by sign: one array operation fewer
         if sign > 0:
-            out[row_out] += a[row_a] * b[row_b]
+            rows_out[row_out] += product
         else:
-            out[row_out] -= a[row_a] * b[row_b]
+            rows_out[row_out] -= product
     return out
 
 

@@ -20,9 +20,13 @@ sides of u_tx and xi_tx are made mean-free (periodic solvability fixes the
 integration constants) and inverted spectrally with the zero-mean gauge on
 u_t, the canonical choice on the homogeneous space of the flow.  Each right
 side takes one forward transform per field and applies the 2/3 truncation,
-mean removal and 1/(ik) in one spectral pass.  A classical explicit
-fourth-order one-step method advances the solution; wave-breaking shows up
-as a NaN/Inf and aborts with a diagnostic rather than attempting continuation.
+mean removal and 1/(ik) in one spectral pass: one multiply by a factor that
+is zero on the cut modes and the mean and (ik)**-1 on the rest.  The
+spectral derivatives multiply by (ik)**order the same way; each factor is
+built once per grid and order.  A classical explicit fourth-order one-step
+method advances the solution, summing its weighted slopes as each stage
+ends; wave-breaking shows up as a NaN/Inf and aborts with a diagnostic
+rather than attempting continuation.
 """
 from __future__ import annotations
 
@@ -121,11 +125,18 @@ def grid(n_modes: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _wavenumbers(n: int) -> np.ndarray:
-    """The nonnegative wavenumbers of an n-point real transform, built once per n."""
+def _spectral_factor(n: int, order: int, cut: bool) -> np.ndarray:
+    """(ik)**order on the modes of an n-point real transform, built once per argument set.
+
+    Zero at k = 0 for a negative order (the mean is dropped) and, with
+    ``cut``, above n/3 (the two-thirds rule).
+    """
     k = np.fft.rfftfreq(n, d=1.0 / n)
-    k.setflags(write=False)  # shared by every caller
-    return k
+    kept = slice(1 if order < 0 else 0, n // 3 + 1 if cut else len(k))
+    factor = np.zeros(len(k), dtype=complex)
+    factor[kept] = (1j * k[kept]) ** order
+    factor.setflags(write=False)  # shared by every caller
+    return factor
 
 
 def _derivatives(arr: np.ndarray, orders: Sequence[int]) -> List[np.ndarray]:
@@ -135,8 +146,9 @@ def _derivatives(arr: np.ndarray, orders: Sequence[int]) -> List[np.ndarray]:
     """
     n = arr.shape[-1]
     spec = np.fft.rfft(arr)
-    ik = 1j * _wavenumbers(n)
-    return [np.fft.irfft(spec * ik**order, n) if order else arr for order in orders]
+    return [
+        np.fft.irfft(spec * _spectral_factor(n, order, False), n) if order else arr for order in orders
+    ]
 
 
 def spectral_dx(arr: np.ndarray, order: int = 1) -> np.ndarray:
@@ -149,12 +161,8 @@ def spectral_antiderivative(arr: np.ndarray, dealias: bool = False) -> np.ndarra
     ``dealias`` first cuts the modes above n/3 (the two-thirds rule).
     """
     n = arr.shape[-1]
-    k = _wavenumbers(n)
     spec = np.fft.rfft(arr)
-    if dealias:
-        spec[..., k > n / 3.0] = 0.0
-    spec[..., 0] = 0.0
-    spec[..., 1:] /= 1j * k[1:]
+    spec *= _spectral_factor(n, -1, dealias)
     return np.fft.irfft(spec, n)
 
 
@@ -358,15 +366,21 @@ def step(state: GridState, cfg: SolverConfig) -> GridState:
         return GridState(s.u + c * du, s.xi + c * dxi, s.time)
 
     with np.errstate(all="ignore"):
-        k1u, k1x = rhs_once_integrated(state, cfg)
-        k2u, k2x = rhs_once_integrated(add(state, dt / 2, k1u, k1x), cfg)
-        k3u, k3x = rhs_once_integrated(add(state, dt / 2, k2u, k2x), cfg)
-        k4u, k4x = rhs_once_integrated(add(state, dt, k3u, k3x), cfg)
-        new = GridState(
-            state.u + dt / 6 * (k1u + 2 * k2u + 2 * k3u + k4u),
-            state.xi + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x),
-            state.time + dt,
-        )
+        # k1 + 2 k2 + 2 k3 + k4 is summed left to right into k1's arrays as each
+        # stage ends, and a stage's slopes are dropped once the next stage state
+        # exists, so the step never holds more than two slope pairs
+        sum_u, sum_xi = rhs_once_integrated(state, cfg)
+        stage = add(state, dt / 2, sum_u, sum_xi)
+        # k2, k3 and k4: each one's weight and the offset of the stage it starts
+        for weight, offset in ((2.0, dt / 2), (2.0, dt), (1.0, None)):
+            k_u, k_xi = rhs_once_integrated(stage, cfg)
+            stage = None if offset is None else add(state, offset, k_u, k_xi)
+            k_u *= weight
+            k_xi *= weight
+            sum_u += k_u
+            sum_xi += k_xi
+            del k_u, k_xi
+        new = GridState(state.u + dt / 6 * sum_u, state.xi + dt / 6 * sum_xi, state.time + dt)
     if not new.finite():
         diagnostics = {"max_abs_u": max_u, "max_abs_ux": state.max_abs_ux()}
         raise BlowUpError(new.time, diagnostics)
@@ -563,24 +577,26 @@ def write_series_csv(path: str, traj: Trajectory) -> None:
     header += [f"H1_{mask_label(m)}" for m in e_masks]
     header += [f"H2_{mask_label(m)}" for m in e_masks]
     header.append("max_abs_ux")
-    row = ",".join(["%.12g"] + ["%.16e"] * (len(header) - 1))
-    lines = [",".join(header)]
-    lines += [
-        row % (sample.time, *sample.h1.tolist(), *sample.h2.tolist(), sample.max_abs_ux)
-        for sample in traj.samples
-    ]
+    row = ",".join(["%.12g"] + ["%.16e"] * (len(header) - 1)) + "\n"
     with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(",".join(header) + "\n")
+        handle.writelines(
+            row % (sample.time, *sample.h1.tolist(), *sample.h2.tolist(), sample.max_abs_ux)
+            for sample in traj.samples
+        )
 
 
 def write_state_csv(path: str, state: GridState) -> None:
-    """x followed by every stored level of u and xi."""
+    """x followed by every stored level of u and xi, one grid point per line.
+
+    Lines go to the file as they are formatted, so the text of the whole
+    table is never held at once.
+    """
     header = ["x"]
     header += [f"u_{mask_label(m)}" for m in even_masks(state.n_grassmann)]
     header += [f"xi_{mask_label(m)}" for m in odd_masks(state.n_grassmann)]
     columns = np.vstack([grid(state.n_modes), state.u, state.xi])
-    row = ",".join(["%.16e"] * len(header))
-    lines = [",".join(header)]
-    lines += [row % tuple(values.tolist()) for values in columns.T]
+    row = ",".join(["%.16e"] * len(header)) + "\n"
     with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(",".join(header) + "\n")
+        handle.writelines(row % tuple(values.tolist()) for values in columns.T)

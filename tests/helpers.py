@@ -3,9 +3,12 @@
 ``random_element`` draws the superconformal algebra elements whose triples
 cross-check the kernel against the generic Jacobi proof of ``check_jacobi``.
 
-``gmul`` is the reference Grassmann product, ``dealias_23`` the reference
-two-thirds truncation and ``ref_is_total_x_derivative`` the reference
-exactness criterion.  The ``ref_*`` functions are the
+``gmul`` is the reference Grassmann product and ``ref_gmul_stack`` the
+per-pair stack loop whose float results ``gmul_stack`` must reproduce exactly;
+``dealias_23`` is the reference two-thirds truncation, ``ref_derivatives`` and
+``ref_spectral_antiderivative`` the mask-and-divide spectral helpers,
+``ref_state_csv`` the state table as one joined text, and
+``ref_is_total_x_derivative`` the reference exactness criterion.  The ``ref_*`` functions are the
 reference for the symbolic kernel: an expression is a dict ``{(lam, factors):
 Fraction}`` with sorted factors and no zero coefficient, and every operation
 is a plain loop on ``Fraction`` values.
@@ -20,7 +23,8 @@ import numpy as np
 
 from superhs.algebra import EVEN, ODD, THETA, FieldSymbol, JetFactor, SymExpr, _sort_factors
 from superhs.density import euler_x
-from superhs.grassmann import merge_sign
+from superhs.grassmann import even_masks, mask_row, merge_sign, odd_masks
+from superhs.numerics import grid, mask_label
 from superhs import structures
 from superhs.structures import CHI, PSI, W, AlgebraElement
 
@@ -145,6 +149,52 @@ def gmul(a: Mapping[int, float], b: Mapping[int, float]) -> Dict[int, float]:
             if sign:
                 out[ma | mb] = out.get(ma | mb, 0.0) + sign * ca * cb
     return out
+
+
+def ref_gmul_stack(a: np.ndarray, parity_a: int, b: np.ndarray, parity_b: int, n: int) -> np.ndarray:
+    """Product of two level stacks: every nonzero mask pair in mask order, one row product each, into zeros."""
+    masks = (even_masks(n), odd_masks(n))
+    out = np.zeros((len(masks[parity_a ^ parity_b]),) + a.shape[1:])
+    for ma in masks[parity_a]:
+        for mb in masks[parity_b]:
+            sign = merge_sign(ma, mb)
+            if sign > 0:
+                out[mask_row(ma | mb)] += a[mask_row(ma)] * b[mask_row(mb)]
+            elif sign < 0:
+                out[mask_row(ma | mb)] -= a[mask_row(ma)] * b[mask_row(mb)]
+    return out
+
+
+def ref_derivatives(arr: np.ndarray, orders) -> list:
+    """Derivatives along the last axis, each multiplying one transform by (ik)**order built afresh."""
+    n = arr.shape[-1]
+    spec = np.fft.rfft(arr)
+    ik = 1j * np.fft.rfftfreq(n, d=1.0 / n)
+    return [np.fft.irfft(spec * ik**order, n) if order else arr for order in orders]
+
+
+def ref_spectral_antiderivative(arr: np.ndarray, dealias: bool = False) -> np.ndarray:
+    """Zero-mean antiderivative: cut by a boolean mask, zero the mean, divide by ik."""
+    n = arr.shape[-1]
+    k = np.fft.rfftfreq(n, d=1.0 / n)
+    spec = np.fft.rfft(arr)
+    if dealias:
+        spec[..., k > n / 3.0] = 0.0
+    spec[..., 0] = 0.0
+    spec[..., 1:] /= 1j * k[1:]
+    return np.fft.irfft(spec, n)
+
+
+def ref_state_csv(state) -> str:
+    """The text of ``write_state_csv``: header and one line per grid point, joined at once."""
+    header = ["x"]
+    header += [f"u_{mask_label(m)}" for m in even_masks(state.n_grassmann)]
+    header += [f"xi_{mask_label(m)}" for m in odd_masks(state.n_grassmann)]
+    columns = np.vstack([grid(state.n_modes), state.u, state.xi])
+    row = ",".join(["%.16e"] * len(header))
+    lines = [",".join(header)]
+    lines += [row % tuple(values.tolist()) for values in columns.T]
+    return "\n".join(lines) + "\n"
 
 
 def dealias_23(arr: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from superhs.grassmann import (
     odd_masks,
 )
 
-from helpers import gmul
+from helpers import gmul, ref_gmul_stack
 
 
 def eta(i, n=2):
@@ -119,3 +119,30 @@ def test_gmul_stack_matches_gmul(n, parity_a, parity_b):
         assert set(expected) <= set(out_masks)
         for row, mask in enumerate(out_masks):
             assert abs(out[row, j] - expected.get(mask, 0.0)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("parity_a", [EVEN, ODD])
+@pytest.mark.parametrize("parity_b", [EVEN, ODD])
+@pytest.mark.parametrize("points", [(), (5,), (3, 4), "broadcast"])
+def test_gmul_stack_equals_the_pair_loop_exactly(n, parity_a, parity_b, points):
+    # random floats round differently under any other summation order, so
+    # equality (==, not a tolerance) shows the same products summed in the same
+    # order; zero rows and a sign-changing body make exact zero products occur
+    rng = np.random.default_rng(1000 * n + 100 * parity_a + 10 * parity_b + len(str(points)))
+    rows = (len(even_masks(n)), len(odd_masks(n)))
+    shape = (1, 4) if points == "broadcast" else points
+    a = rng.uniform(-1.0, 1.0, (rows[parity_a],) + shape)
+    b = rng.uniform(-1.0, 1.0, (rows[parity_b],) + shape)
+    a[1::3] = 0.0
+    b[::4] = 0.0
+    if points == "broadcast":
+        # what evaluate passes: read-only views with a zero stride on a point axis
+        a = np.broadcast_to(a, a.shape[:1] + (3, 4))
+        b = np.broadcast_to(b, b.shape[:1] + (3, 4))
+    a_before, b_before = a.copy(), b.copy()
+    out = gmul_stack(a, parity_a, b, parity_b, n)
+    expected = ref_gmul_stack(a, parity_a, b, parity_b, n)
+    assert out.shape == expected.shape == (rows[parity_a ^ parity_b],) + a.shape[1:]
+    assert np.array_equal(out, expected)
+    assert np.array_equal(a, a_before) and np.array_equal(b, b_before)

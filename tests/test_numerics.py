@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from superhs.numerics import (
     BlowUpError,
     GridState,
     SolverConfig,
+    _derivatives,
     conserved_quantities,
     evaluate,
     evolve,
@@ -24,7 +26,13 @@ from superhs.numerics import (
     write_state_csv,
 )
 
-from helpers import dealias_23, gmul
+from helpers import (
+    dealias_23,
+    gmul,
+    ref_derivatives,
+    ref_spectral_antiderivative,
+    ref_state_csv,
+)
 
 
 def bosonic_cos_state(n=256):
@@ -463,6 +471,62 @@ def test_csv_writers(tmp_path):
     assert len(lines) == len(traj.samples) + 1
     header = state_csv.read_text().splitlines()[0]
     assert header == "x,u_body,u_12,xi_1,xi_2"
+
+
+def random_state(n_modes, n_grassmann, seed):
+    rng = np.random.default_rng(seed)
+    state = GridState.zeros(n_modes, n_grassmann)
+    state.u[:] = rng.uniform(-0.5, 0.5, state.u.shape)
+    state.xi[:] = rng.uniform(-0.5, 0.5, state.xi.shape)
+    return state
+
+
+def test_write_state_csv_streams_the_joined_text(tmp_path):
+    # the bench's state size; the file is about 1.7 MB, its table of floats 0.5 MB
+    state = random_state(1024, 6, 5)
+    path = tmp_path / "final_state.csv"
+    tracemalloc.start()
+    try:
+        write_state_csv(str(path), state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a count of allocated bytes, so it holds whatever the heap layout
+    assert peak < path.stat().st_size
+    assert path.read_bytes() == ref_state_csv(state).encode()
+
+
+@pytest.mark.parametrize("n_grassmann", [2, 4])
+def test_step_is_the_textbook_rk4_exactly(n_grassmann):
+    cfg = SolverConfig(n_modes=32, dt=1e-3, t_end=1e-3, n_grassmann=n_grassmann)
+    state = random_state(32, n_grassmann, n_grassmann)
+    dt = cfg.dt
+    with np.errstate(all="ignore"):
+        k1 = rhs_once_integrated(state, cfg)
+        k2 = rhs_once_integrated(GridState(state.u + dt / 2 * k1[0], state.xi + dt / 2 * k1[1]), cfg)
+        k3 = rhs_once_integrated(GridState(state.u + dt / 2 * k2[0], state.xi + dt / 2 * k2[1]), cfg)
+        k4 = rhs_once_integrated(GridState(state.u + dt * k3[0], state.xi + dt * k3[1]), cfg)
+        expected = [
+            now + dt / 6 * (s1 + 2 * s2 + 2 * s3 + s4)
+            for now, s1, s2, s3, s4 in zip((state.u, state.xi), k1, k2, k3, k4)
+        ]
+    new = step(state, cfg)
+    assert new.time == dt
+    # byte equality: the same floats, zero signs included
+    assert new.u.tobytes() == expected[0].tobytes()
+    assert new.xi.tobytes() == expected[1].tobytes()
+
+
+@pytest.mark.parametrize("n", [16, 1024])
+@pytest.mark.parametrize("rows", [(), (5,)])
+def test_spectral_helpers_equal_the_mask_and_divide_forms(n, rows):
+    arr = np.random.default_rng(n + len(rows)).standard_normal(rows + (n,))
+    for dealias in (False, True):
+        out = spectral_antiderivative(arr, dealias)
+        assert out.tobytes() == ref_spectral_antiderivative(arr, dealias).tobytes()
+    orders = (0, 1, 2, 3, 4)
+    for got, want in zip(_derivatives(arr, orders), ref_derivatives(arr, orders)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_dealias_cuts_top_third():
