@@ -22,12 +22,18 @@ residual (``u*u_xx`` goes to ``-u_x**2``), ``is_total_x_derivative`` an empty
 residual, ``integrate_x`` the witness, which gives the solver its
 once-integrated potentials, and ``structures.conservation_check`` an empty
 residual on the constrained jets of the flow, whose witness is the flux.
+
+The images under substitution rules are the costly part of a reduction, so a
+``RuleSet``, a read-only rule mapping, keeps every image built under it for as
+long as it lives; the flow's one rule set is such a mapping.  Under a plain
+mapping, or without rules, the images are kept for one call only: rule-free
+images are cheap, and a cache shared by every call would grow without bound.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import ODD, FieldSymbol, JetFactor, SymExpr, TermKey, _accumulate, _reduced, _sort_factors
 from .calculus import dx, jet_derivative, substitute
@@ -211,6 +217,31 @@ def _reduce_against(
     return vec
 
 
+class RuleSet(Mapping[JetFactor, SymExpr]):
+    """A read-only substitution rule mapping that keeps the ``dx`` images built under it.
+
+    ``reduce_mod_dx`` stores in ``_images`` each ``substitute(dx(monomial), self)``
+    it builds, keyed by the monomial's ``TermKey``, and reuses it on later calls
+    for as long as the rule set lives.  The rules cannot change after
+    construction (item assignment raises ``TypeError``), so no image goes stale.
+    """
+
+    __slots__ = ("_rules", "_images")
+
+    def __init__(self, rules: Mapping[JetFactor, SymExpr]):
+        self._rules = dict(rules)
+        self._images: Dict[TermKey, SymExpr] = {}
+
+    def __getitem__(self, key: JetFactor) -> SymExpr:
+        return self._rules[key]
+
+    def __iter__(self) -> Iterator[JetFactor]:
+        return iter(self._rules)
+
+    def __len__(self) -> int:
+        return len(self._rules)
+
+
 def reduce_mod_dx(
     target: SymExpr,
     rules: Optional[Mapping[JetFactor, SymExpr]] = None,
@@ -232,16 +263,21 @@ def reduce_mod_dx(
     tags give the witness F with ``target == dx(F)`` (under ``rules``) plus
     droppable terms plus the residual; an empty residual certifies that the
     target lies in the span.  A superspace jet raises ``ValueError``: the
-    windows hold no theta-derivatives.
+    windows hold no theta-derivatives.  The images are taken from, and added
+    to, the cache of a ``RuleSet``; any other ``rules`` get a cache for this
+    call only.
     """
     _check_component_only(target)
+    cache = rules._images if isinstance(rules, RuleSet) else {}
     images: Dict[TermKey, SymExpr] = {}
     sectors = set()
 
     def add_image(key: TermKey) -> None:
         if key not in images:
-            image = dx(SymExpr.monomial(1, key[1], lam=key[0]))
-            images[key] = substitute(image, rules) if rules else image
+            if key not in cache:
+                image = dx(SymExpr.monomial(1, key[1], lam=key[0]))
+                cache[key] = substitute(image, rules) if rules else image
+            images[key] = cache[key]
 
     def add_windows(keys: Iterable[TermKey]) -> None:
         for lam, factors in keys:

@@ -37,7 +37,6 @@ from .algebra import (
     EVEN,
     ODD,
     FieldSymbol,
-    JetFactor,
     SymExpr,
     lam_power,
     require_parity,
@@ -54,6 +53,7 @@ from .calculus import (
     theta_expand,
 )
 from .density import (
+    RuleSet,
     euler_xt,
     integrate_x,
     is_total_x_derivative,
@@ -188,25 +188,37 @@ class EvolutionSystem:
         """
         return self._potentials
 
-    def rules_velocity(self) -> Dict[JetFactor, SymExpr]:
-        """The flow's one rule set: zero-mean velocity potentials p = u_t, q = xi_t.
-
-        Prolongation gives u_txx -> p_xx -> -rhs_m and xi_txx -> q_xx -> -rhs_eta.
-        """
+    @functools.cached_property
+    def _rules(self) -> RuleSet:
         pot_u, pot_xi = self.once_integrated_potentials()
-        return {
+        return RuleSet({
             U.jet(dt=1): P_VEL(),
             XI.jet(dt=1): Q_VEL(),
             P_VEL.jet(dx=1): pot_u - A_GAUGE(),
             Q_VEL.jet(dx=1): pot_xi - B_GAUGE(),
-        }
+        })
+
+    def rules_velocity(self) -> RuleSet:
+        """The flow's one rule set: zero-mean velocity potentials p = u_t, q = xi_t.
+
+        Prolongation gives u_txx -> p_xx -> -rhs_m and xi_txx -> q_xx -> -rhs_eta.
+        Built once per system, the first time it is asked for, and returned as
+        the same read-only ``RuleSet`` on every call, which keeps the ``dx``
+        images ``reduce_mod_dx`` builds under it for as long as the system lives.
+        """
+        return self._rules
 
     def bosonic_reduction(self) -> "EvolutionSystem":
         return EvolutionSystem(self.rhs_m.without_fields([XI]), SymExpr.zero())
 
 
+@functools.lru_cache(maxsize=None)
 def geodesic_system() -> EvolutionSystem:
-    """Assemble the flow from the bilinear operator and substitute phi = xi_x."""
+    """Assemble the flow from the bilinear operator and substitute phi = xi_x.
+
+    Memoized: every caller in a process shares one system, so its potentials,
+    its rule set and the images cached on that rule set are built once.
+    """
     element = AlgebraElement(U(), PHI())
     a0b0, a1b1 = bilinear_B(element, element)
     to_xi = {PHI.jet(): XI(dx=1)}

@@ -6,7 +6,7 @@ import pytest
 
 from superhs.algebra import EVEN, ODD, FieldSymbol, ParityError, SymExpr, lam_power, theta_factor
 from superhs.calculus import dt, dx, first_variation, substitute, theta_expand
-from superhs import structures
+from superhs import density, structures
 from superhs.density import equals_mod_dx, euler_xt, integrate_x, is_total_x_derivative, reduce_mod_dx
 from superhs.sexpr import to_sexpr
 from helpers import random_element, random_x_poly, sampled_lie_failures
@@ -197,11 +197,48 @@ def test_conservation_check_derives_the_potentials_once(monkeypatch):
         return integrate_x(e)
 
     monkeypatch.setattr(structures, "integrate_x", counting)
+    # a cold derivation: the memoized system an earlier test built is dropped
+    geodesic_system.cache_clear()
     assert structures.check_conservation().passed
     assert len(calls) == 2
     calls.clear()
     assert all(result.passed for result in run_suite(SUITE_NAMES))
-    assert len(calls) <= 6
+    assert len(calls) == 0
+
+
+def test_one_system_and_one_read_only_rule_set():
+    system = geodesic_system()
+    assert geodesic_system() is system
+    rules = system.rules_velocity()
+    assert system.rules_velocity() is rules
+    # the rule set keeps images built under it, so no caller may change it
+    with pytest.raises(TypeError):
+        rules[U.jet(dt=1)] = SymExpr.zero()
+    assert rules[U.jet(dt=1)] == structures.P_VEL()
+
+
+def test_no_rule_set_answers_for_another(monkeypatch):
+    # images are cached per rule set under a TermKey; a cache keyed by the
+    # TermKey alone would carry the full flow's images into the bosonic one
+    full = geodesic_system()
+    quad = HALF * U(dx=1) ** 2
+    verdicts = [conservation_check(quad, system) for system in (full, full.bosonic_reduction(), full)]
+    assert verdicts == [False, True, False]
+
+    first = structures.check_conservation()
+    built = []
+
+    def counting(e, rules, *args):
+        built.append(e)
+        return substitute(e, rules, *args)
+
+    monkeypatch.setattr(density, "substitute", counting)
+    second = structures.check_conservation()
+    assert built == []
+    assert (second.passed, second.residual, second.detail) == (first.passed, first.residual, first.detail)
+    # negative control: a new system's rule set builds its own images under the spy
+    assert conservation_check(quad, full.bosonic_reduction())
+    assert built
 
 
 def test_apply_J1_on_first_gradients():
