@@ -12,16 +12,16 @@ pinned by tests before any dependent check runs.
 
 ``reduce_mod_dx`` is the one engine modulo exact terms, the
 undetermined-coefficient method of Goktas & Hereman (J. Symb. Comput. 24,
-1997).  Within each finite sector (fixed lam power, field content and total
-x-order; theta is an odd constant factor, so it is part of the field content)
-the exact terms are spanned by the derivatives of the one-lower sector, its
-window.  One ``_reduce_against`` call, the only eliminator in the package,
-reduces the target against those images, and tags on the image rows give the
-witness F with ``target == dx(F) + residual``.  ``canonical_density`` is the
-residual (``u*u_xx`` goes to ``-u_x**2``), ``is_total_x_derivative`` an empty
-residual, ``integrate_x`` the witness, which gives the solver its
-once-integrated potentials, and ``structures.conservation_check`` an empty
-residual on the constrained jets of the flow, whose witness is the flux.
+1997) run as leading-term rewriting: the target's largest term is taken off
+by the ``dx`` image of the monomial one x-derivative below it when it leads
+that image, and kept otherwise, so only the images the target reaches are
+built.  Those monomials make the witness F with ``target == dx(F) +
+residual``.  ``canonical_density`` is the residual (``u*u_xx`` goes to
+``-u_x**2``), ``is_total_x_derivative`` an empty residual (the kernel of the
+Euler operator is the image of ``dx``; Olver, ch. 4-5), ``integrate_x`` the
+witness, which gives the solver its once-integrated potentials, and
+``structures.conservation_check`` an empty residual on the constrained jets of
+the flow, whose witness is the flux.
 
 The images under substitution rules are the costly part of a reduction, so a
 ``RuleSet``, a read-only rule mapping, keeps every image built under it for as
@@ -31,11 +31,12 @@ images are cheap, and a cache shared by every call would grow without bound.
 """
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
-from itertools import chain
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from itertools import chain, combinations_with_replacement
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
-from .algebra import ODD, FieldSymbol, JetFactor, SymExpr, TermKey, _accumulate, _reduced, _sort_factors
+from .algebra import FieldSymbol, JetFactor, SymExpr, TermKey, _accumulate, _reduced, _sort_factors
 from .calculus import dx, jet_derivative, substitute
 
 
@@ -110,44 +111,6 @@ def variational_derivative(density: SymExpr, field: FieldSymbol) -> SymExpr:
 # reduction modulo exact terms
 
 
-def _window_monomials(
-    slots: Sequence[Tuple[FieldSymbol, int]], total_dx: int
-) -> List[Tuple[JetFactor, ...]]:
-    """All canonical factor tuples with the given field content and x-order.
-
-    ``slots`` lists (field, t-order) with multiplicity, equal slots adjacent.
-    Within a run of equal slots the x-orders are taken non-decreasing (strictly
-    increasing for odd fields, whose equal jets vanish), which enumerates each
-    monomial once.
-    """
-    out: List[Tuple[JetFactor, ...]] = []
-
-    def rec(i: int, remaining: int, prev_dx: int, acc: List[JetFactor]):
-        if i == len(slots):
-            if remaining == 0:
-                sorted_ = _sort_factors(tuple(acc))
-                if sorted_ is not None:
-                    out.append(sorted_[1])
-            return
-        sym, dt_order = slots[i]
-        same_group = i > 0 and slots[i - 1] == slots[i]
-        if sym.constant:
-            acc.append(JetFactor(sym))
-            rec(i + 1, remaining, 0, acc)
-            acc.pop()
-            return
-        lo = prev_dx if same_group else 0
-        if same_group and sym.parity == ODD:
-            lo = prev_dx + 1
-        for k in range(lo, remaining + 1):
-            acc.append(JetFactor(sym, dx=k, dt=dt_order))
-            rec(i + 1, remaining - k, k, acc)
-            acc.pop()
-
-    rec(0, total_dx, 0, [])
-    return sorted(set(out), key=lambda fs: tuple(f.sort_key for f in fs))
-
-
 def _elimination_key(key: TermKey):
     # concentrate-derivatives-first: monomials with higher maximal x-orders are
     # eliminated in favour of spread-out ones (u*u_xx -> -u_x**2); lam only
@@ -161,12 +124,12 @@ def _elimination_key(key: TermKey):
 
 
 class _Tag:
-    """Witness column of a ``dx`` image row, keyed by its source monomial; equal only to itself."""
+    """Witness column of an image row: the monomials whose images the row sums; equal only to itself."""
 
-    __slots__ = ("key",)
+    __slots__ = ("witness",)
 
-    def __init__(self, key: TermKey):
-        self.key = key
+    def __init__(self, witness: Dict[TermKey, Fraction]):
+        self.witness = witness
 
 
 def _reduce_against(
@@ -220,17 +183,17 @@ def _reduce_against(
 class RuleSet(Mapping[JetFactor, SymExpr]):
     """A read-only substitution rule mapping that keeps the ``dx`` images built under it.
 
-    ``reduce_mod_dx`` stores in ``_images`` each ``substitute(dx(monomial), self)``
-    it builds, keyed by the monomial's ``TermKey``, and reuses it on later calls
-    for as long as the rule set lives.  The rules cannot change after
-    construction (item assignment raises ``TypeError``), so no image goes stale.
+    ``reduce_mod_dx`` keeps in ``_images`` each ``substitute(dx(monomial), self)``
+    it builds and its leading term, keyed by the monomial's ``TermKey``, for as
+    long as the rule set lives.  The rules cannot change after construction
+    (item assignment raises ``TypeError``), so no image goes stale.
     """
 
     __slots__ = ("_rules", "_images")
 
     def __init__(self, rules: Mapping[JetFactor, SymExpr]):
         self._rules = dict(rules)
-        self._images: Dict[TermKey, SymExpr] = {}
+        self._images: Dict[TermKey, Tuple[Optional[TermKey], SymExpr]] = {}
 
     def __getitem__(self, key: JetFactor) -> SymExpr:
         return self._rules[key]
@@ -245,66 +208,103 @@ class RuleSet(Mapping[JetFactor, SymExpr]):
 def reduce_mod_dx(
     target: SymExpr,
     rules: Optional[Mapping[JetFactor, SymExpr]] = None,
-    pool: Iterable[TermKey] = (),
     droppable: Optional[Callable[[TermKey], bool]] = None,
 ) -> Tuple[Dict[TermKey, Fraction], SymExpr]:
-    """The residual of ``target`` modulo the dx-images of its one-lower windows, and its witness.
+    """The residual of ``target`` modulo ``dx`` images, and its witness F.
 
-    A sector is a lam power, a field content with t-orders (formal constants
-    and ``THETA`` included) and a total x-order; its window is every monomial
-    of the same lam power and content one x-order lower.  The generators are
-    the ``dx`` images, with ``rules`` substituted when given, of the windows of
-    the target's sectors and of the ``pool`` monomials; with rules, one
-    spill-over pass adds the windows of the sectors the images reach (without
-    them an image stays in its monomial's sector).  One unit vector per key in
-    play that ``droppable`` accepts joins them.  Each sector is enumerated and
-    each image built once, and one ``_reduce_against`` call eliminates them
-    all.  Each image row carries a ``_Tag`` of its source monomial, and the
-    tags give the witness F with ``target == dx(F)`` (under ``rules``) plus
-    droppable terms plus the residual; an empty residual certifies that the
-    target lies in the span.  A superspace jet raises ``ValueError``: the
-    windows hold no theta-derivatives.  The images are taken from, and added
-    to, the cache of a ``RuleSet``; any other ``rules`` get a cache for this
-    call only.
+    Velocity jets are those whose x-derivative a rule rewrites (p and q under
+    the flow's rules; none without rules).  Terms go largest first by velocity
+    factor count, then ``_elimination_key``.  A term t whose non-velocity jets
+    have a unique factor of top x-order k >= 1 is lowered there to m; if t
+    leads m's image (``dx(m)``, ``rules`` substituted), that image is taken
+    off and m enters F, else t goes to the residual unless ``droppable``
+    accepts it.  Without rules the images are triangular, so this is the one
+    normal form.  Under rules the images of pure velocity monomials (velocity
+    and constant jets) are not: if a residual is left, those of velocity
+    degree 1 to d + 1 with at most c constant factors, d and c the residual's
+    largest, over the constant jets of the residual and the rules' right
+    sides, are rewritten too, and one ``_reduce_against`` call reduces the
+    residual against them.  So ``target == dx(F)`` (under ``rules``) plus
+    droppable terms plus the residual.  A superspace jet raises
+    ``ValueError``.  A ``RuleSet`` caches the images; other ``rules`` get a
+    cache for this call only.
     """
     _check_component_only(target)
+    velocity = {JetFactor(k.symbol, k.dx - 1, k.dt) for k in rules or () if k.dx}
     cache = rules._images if isinstance(rules, RuleSet) else {}
-    images: Dict[TermKey, SymExpr] = {}
-    sectors = set()
 
-    def add_image(key: TermKey) -> None:
-        if key not in images:
-            if key not in cache:
-                image = dx(SymExpr.monomial(1, key[1], lam=key[0]))
-                cache[key] = substitute(image, rules) if rules else image
-            images[key] = cache[key]
+    def order(key: TermKey) -> tuple:
+        return sum(f in velocity for f in key[1]), _elimination_key(key)
 
-    def add_windows(keys: Iterable[TermKey]) -> None:
-        for lam, factors in keys:
-            # canonical factors list equal (field, t-order) slots adjacently
-            slots, total = tuple((f.symbol, f.dt) for f in factors), sum(f.dx for f in factors)
-            if total and (lam, slots, total) not in sectors:
-                sectors.add((lam, slots, total))
-                for fs in _window_monomials(slots, total - 1):
-                    add_image((lam, fs))
+    def lower(key: TermKey) -> Optional[TermKey]:
+        lam, factors = key
+        orders = [0 if f in velocity else f.dx for f in factors]  # a constant's is 0
+        top = max(orders, default=0)
+        if not top or orders.count(top) > 1:
+            return None
+        i = orders.index(top)
+        f = factors[i]
+        sorted_ = _sort_factors(factors[:i] + (JetFactor(f.symbol, top - 1, f.dt),) + factors[i + 1 :])
+        return None if sorted_ is None else (lam, sorted_[1])
 
-    add_windows(target._terms)
-    for key in pool:
-        add_image(key)
-    if rules:
-        # one spill-over pass: the windows of the sectors the summed images reach
-        spill = _accumulate(
-            (k, Fraction(n, img._den)) for img in images.values() for k, n in img._terms.items()
+    def image(m: TermKey) -> Tuple[Optional[TermKey], SymExpr]:
+        if m not in cache:
+            img = dx(SymExpr.monomial(1, m[1], lam=m[0]))
+            img = substitute(img, rules) if rules else img
+            cache[m] = (max(img._terms, key=order, default=None), img)
+        return cache[m]
+
+    def normal_form(e: SymExpr) -> Tuple[Dict[TermKey, Fraction], Dict[TermKey, Fraction]]:
+        # a subtracted image's other terms are smaller than t, so no term comes
+        # back once taken; terms are placed by a total order, never by a set's
+        vec = _coefficient_vector(e)
+        pending = sorted((order(k), k) for k in vec)
+        queued, residual, witness = set(vec), {}, {}
+        while pending:
+            t = pending.pop()[1]
+            coeff = vec.get(t)
+            m = lower(t) if coeff else None
+            lead, img = image(m) if m else (None, None)
+            if lead != t:
+                if coeff and not (droppable and droppable(t)):
+                    residual[t] = coeff
+                continue
+            scale = coeff / img._terms[t]
+            witness[m] = scale * img._den
+            _accumulate(((k, -scale * n) for k, n in img._terms.items()), vec)
+            for k in img._terms:
+                if k not in queued:
+                    queued.add(k)
+                    insort(pending, (order(k), k))
+        return residual, witness
+
+    residual, witness = normal_form(target)
+    if residual and velocity:
+        jets = {f for _lam, fs in chain(residual, *(rhs._terms for rhs in rules.values())) for f in fs}
+        constants = sorted((f for f in jets if f.symbol.constant), key=lambda f: f.sort_key)
+        degree = max(sum(f in velocity for f in fs) for _lam, fs in residual)
+        n_constants = max(sum(f.symbol.constant for f in fs) for _lam, fs in residual)
+        pure = (
+            (lam, vs + cs)
+            for lam in sorted({lam for lam, _fs in residual})
+            for n in range(1, degree + 2)
+            for vs in combinations_with_replacement(sorted(velocity, key=lambda f: f.sort_key), n)
+            for c in range(n_constants + 1)
+            for cs in combinations_with_replacement(constants, c)
         )
-        add_windows(spill)
-    generators = [{**_coefficient_vector(img), _Tag(key): Fraction(1)} for key, img in images.items()]
-    if droppable is not None:
-        keys = dict.fromkeys(chain(target._terms, *(img._terms for img in images.values())))
-        generators += [{k: Fraction(1)} for k in keys if droppable(k)]
-    reduced = _reduce_against(_coefficient_vector(target), generators)
-    residual = {k: v for k, v in reduced.items() if not isinstance(k, _Tag)}
-    witness = SymExpr({k.key: -v for k, v in reduced.items() if isinstance(k, _Tag)})
-    return residual, witness
+        rows = []
+        for lam, fs in pure:
+            sorted_ = _sort_factors(fs)
+            if sorted_ is not None:
+                m = (lam, sorted_[1])
+                row, row_witness = normal_form(image(m)[1])
+                row[_Tag({m: Fraction(1), **{k: -v for k, v in row_witness.items()}})] = Fraction(1)
+                rows.append(row)
+        reduced = _reduce_against(residual, rows)
+        residual = {k: v for k, v in reduced.items() if not isinstance(k, _Tag)}
+        tags = ((tag, v) for tag, v in reduced.items() if isinstance(tag, _Tag))
+        _accumulate(((k, -v * w) for tag, v in tags for k, w in tag.witness.items()), witness)
+    return residual, SymExpr(witness)
 
 
 def canonical_density(e: SymExpr) -> SymExpr:
@@ -323,9 +323,9 @@ def canonical_density(e: SymExpr) -> SymExpr:
 def integrate_x(e: SymExpr) -> SymExpr:
     """The x-antiderivative of ``e`` with no field-free term: the witness of ``reduce_mod_dx``.
 
-    Without rules ``dx`` is injective on window monomials, which always hold a
-    field, so this F is unique.  It is checked by ``dx``: a field-free term or
-    any other non-exact ``e`` raises ``ValueError``.
+    Without rules ``dx`` is injective on the monomials the rewriting lowers
+    to, which always hold a field, so this F is unique.  It is checked by
+    ``dx``: a field-free term or any other non-exact ``e`` raises ``ValueError``.
     """
     residual, antiderivative = reduce_mod_dx(e)
     if residual or dx(antiderivative) != e:

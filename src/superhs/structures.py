@@ -755,10 +755,6 @@ def check_recursion(failures: Failures) -> None:
 
 
 _P, _Q = P_VEL.jet(), Q_VEL.jet()
-# candidate flux monomials beyond the target's windows: p, q and their quadratic terms
-_VELOCITY_POOL = tuple((0, fs) for fs in [(_P, _P), (_P, _Q), (_P,), (_Q,)]) + tuple(
-    (0, (c.jet(), v)) for c in (A_GAUGE, B_GAUGE) for v in (_P, _Q)
-)
 
 
 def _droppable(key) -> bool:
@@ -771,17 +767,19 @@ def conservation_check(density: SymExpr, system: Optional[EvolutionSystem] = Non
     """Is d/dt of the density a total x-derivative along the flow?
 
     The time derivative is taken with the once-integrated equations of motion
-    (velocity potentials with zero spatial mean, formal gauge constants).  A
-    flux certificate ``flow_dt = d/dx(F) + droppable`` is then sought on the
-    constrained jets by ``density.reduce_mod_dx``, with F in a finite pool:
-    the target's windows, the quadratic velocity monomials and one spill-over
-    pass.  A found certificate proves that the integral vanishes; failure
-    within the pool reports non-conservation.
+    (velocity potentials p, q with zero spatial mean, formal gauge constants).
+    A flux certificate ``flow_dt = d/dx(F) + droppable`` is then sought on the
+    constrained jets by ``density.reduce_mod_dx``.  Its F holds the monomials
+    that rewriting by leading terms reaches, plus products of p, q and constant
+    jets of velocity degree 1 to d + 1 with at most c constant factors, where d
+    and c are the largest velocity degree and constant count in what the
+    rewriting leaves.  A found certificate proves that the integral vanishes;
+    failure within that bound reports non-conservation.
     """
     if system is None:
         system = geodesic_system()
     rules = system.rules_velocity()
-    return not reduce_mod_dx(substitute(dt(density), rules), rules, _VELOCITY_POOL, _droppable)[0]
+    return not reduce_mod_dx(substitute(dt(density), rules), rules, _droppable)[0]
 
 
 @_check("conservation")

@@ -7,22 +7,25 @@ cross-check the kernel against the generic Jacobi proof of ``check_jacobi``.
 per-pair stack loop whose float results ``gmul_stack`` must reproduce exactly;
 ``dealias_23`` is the reference two-thirds truncation, ``ref_derivatives`` and
 ``ref_spectral_antiderivative`` the mask-and-divide spectral helpers,
-``ref_state_csv`` the state table as one joined text, and
-``ref_is_total_x_derivative`` the reference exactness criterion.  The ``ref_*`` functions are the
-reference for the symbolic kernel: an expression is a dict ``{(lam, factors):
-Fraction}`` with sorted factors and no zero coefficient, and every operation
-is a plain loop on ``Fraction`` values.
+``ref_state_csv`` the state table as one joined text,
+``ref_is_total_x_derivative`` the reference exactness criterion, and
+``ref_window_system``, ``ref_split`` and ``ref_reduce_mod_dx`` the rule-free
+reduction by one elimination over whole windows.  The other ``ref_*``
+functions are the reference for the symbolic kernel: an expression is a dict
+``{(lam, factors): Fraction}`` with sorted factors and no zero coefficient,
+and every operation is a plain loop on ``Fraction`` values.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, Dict, Mapping
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from superhs.algebra import EVEN, ODD, THETA, FieldSymbol, JetFactor, SymExpr, _sort_factors
-from superhs.density import euler_x
+from superhs.algebra import EVEN, ODD, THETA, FieldSymbol, JetFactor, SymExpr, _accumulate, _sort_factors
+from superhs.calculus import dx
+from superhs.density import _Tag, _reduce_against, euler_x
 from superhs.grassmann import even_masks, mask_row, merge_sign, odd_masks
 from superhs.numerics import grid, mask_label
 from superhs import structures
@@ -213,6 +216,79 @@ def ref_is_total_x_derivative(e: SymExpr) -> bool:
         return False
     fields = {(f.symbol, f.dt) for f in e.jet_factors() if not f.symbol.constant}
     return all(euler_x(e, sym, dt_order).is_zero() for sym, dt_order in fields)
+
+
+def ref_window_monomials(
+    slots: Sequence[Tuple[FieldSymbol, int]], total_dx: int
+) -> List[Tuple[JetFactor, ...]]:
+    """All canonical factor tuples with the given field content and x-order.
+
+    ``slots`` lists (field, t-order) with multiplicity, equal slots adjacent.
+    Within a run of equal slots the x-orders are taken non-decreasing (strictly
+    increasing for odd fields, whose equal jets vanish), which enumerates each
+    monomial once.
+    """
+    out: List[Tuple[JetFactor, ...]] = []
+
+    def rec(i: int, remaining: int, prev_dx: int, acc: List[JetFactor]):
+        if i == len(slots):
+            if remaining == 0:
+                sorted_ = _sort_factors(tuple(acc))
+                if sorted_ is not None:
+                    out.append(sorted_[1])
+            return
+        sym, dt_order = slots[i]
+        same_group = i > 0 and slots[i - 1] == slots[i]
+        if sym.constant:
+            acc.append(JetFactor(sym))
+            rec(i + 1, remaining, 0, acc)
+            acc.pop()
+            return
+        lo = prev_dx if same_group else 0
+        if same_group and sym.parity == ODD:
+            lo = prev_dx + 1
+        for k in range(lo, remaining + 1):
+            acc.append(JetFactor(sym, dx=k, dt=dt_order))
+            rec(i + 1, remaining - k, k, acc)
+            acc.pop()
+
+    rec(0, total_dx, 0, [])
+    return sorted(set(out), key=lambda fs: tuple(f.sort_key for f in fs))
+
+
+def ref_window_system(e: SymExpr):
+    """The target vector and the tagged rows of the rule-free reduction over whole windows.
+
+    A sector is a lam power, a field content with t-orders and a total x-order;
+    its window is every monomial of the same lam power and content one x-order
+    lower.  Each window monomial of each of the target's sectors gives one row,
+    its ``dx`` image with a ``_Tag`` of the monomial.
+    """
+    sectors = dict.fromkeys(
+        (lam, tuple((f.symbol, f.dt) for f in factors), sum(f.dx for f in factors))
+        for lam, factors in e._terms
+    )
+    rows = []
+    for lam, slots, total in sectors:
+        for factors in ref_window_monomials(slots, total - 1) if total else ():
+            image = dx(SymExpr.monomial(1, factors, lam=lam))
+            row = {key: Fraction(n, image._den) for key, n in image._terms.items()}
+            row[_Tag({(lam, factors): Fraction(1)})] = Fraction(1)
+            rows.append(row)
+    return {key: Fraction(n, e._den) for key, n in e._terms.items()}, rows
+
+
+def ref_split(reduced: dict):
+    """The residual and the witness held by the tags of a reduced window-system target."""
+    residual = {k: v for k, v in reduced.items() if not isinstance(k, _Tag)}
+    tags = ((tag, v) for tag, v in reduced.items() if isinstance(tag, _Tag))
+    witness = _accumulate((key, -v * w) for tag, v in tags for key, w in tag.witness.items())
+    return residual, SymExpr(witness)
+
+
+def ref_reduce_mod_dx(e: SymExpr):
+    """Residual and witness of ``e`` by one elimination against every window image."""
+    return ref_split(_reduce_against(*ref_window_system(e)))
 
 
 def ref_of(e: SymExpr) -> dict:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from superhs.algebra import EVEN, ODD, FieldSymbol, SymExpr, lam_power, theta_factor
-from superhs import density
 from superhs.calculus import berezin, dx, superD
 from superhs.density import (
     _Tag,
@@ -18,10 +17,11 @@ from superhs.density import (
     integrate_x,
     is_total_x_derivative,
     partial_jet,
+    reduce_mod_dx,
     variational_derivative,
 )
 
-from helpers import random_expr, random_x_poly, ref_is_total_x_derivative
+from helpers import random_expr, random_x_poly, ref_is_total_x_derivative, ref_split, ref_window_system
 
 u = FieldSymbol("u", EVEN)
 v = FieldSymbol("v", EVEN)
@@ -292,23 +292,22 @@ def _untagged(vec):
     return [(c, x) for c, x in vec.items() if not isinstance(c, _Tag)]
 
 
-def test_reduce_against_matches_scanning_reference_in_canonical_density(monkeypatch):
-    # the one elimination canonical_density runs per random product, seeds 1-60:
-    # the same residual, in the same key order, as the row-scanning loop
+def test_reduce_against_matches_scanning_reference_in_canonical_density():
+    # seeds 1-60, each random product and its dx: reduce_mod_dx gives the
+    # residual and witness of one elimination over whole windows, and on each
+    # of those window systems _reduce_against gives the same residual, in the
+    # same key order, as the row-scanning loop
     systems = []
-
-    def checked(target, generators):
-        residual = _reduce_against(target, generators)
-        assert _untagged(residual) == _untagged(_scan_reduce(target, generators))
-        systems.append(len(generators))
-        return residual
-
-    monkeypatch.setattr(density, "_reduce_against", checked)
     for seed in range(1, 61):
         rng = random.Random(seed)
         a, b = random_expr(rng), random_expr(rng)
-        canonical_density(a * b)
-    assert len(systems) == 60 and max(systems) > 1000
+        for e in (a * b, dx(a * b)):
+            target, generators = ref_window_system(e)
+            reduced = _reduce_against(target, generators)
+            assert _untagged(reduced) == _untagged(_scan_reduce(target, generators))
+            assert reduce_mod_dx(e) == ref_split(reduced)
+            systems.append(len(generators))
+    assert len(systems) == 120 and max(systems) > 1000
 
 
 def _spectral_dx(arr, order=1):

@@ -1,4 +1,5 @@
 import inspect
+import math
 import random
 from fractions import Fraction
 
@@ -352,15 +353,97 @@ def test_flux_certificates_hold_on_the_constrained_jets():
 
     def certificate(rho):
         flow_dt = substitute(dt(rho), rules)
-        residual, flux = reduce_mod_dx(flow_dt, rules, structures._VELOCITY_POOL, structures._droppable)
+        residual, flux = reduce_mod_dx(flow_dt, rules, structures._droppable)
         return flow_dt, residual, flux
 
-    for rho in (h1, h2, U(dx=1) * XI(dx=1)):
+    for rho in (h1, h2, U(dx=1) * XI(dx=1), TAU() * U(dx=1) * XI(dx=1)):
         flow_dt, residual, flux = certificate(rho)
         assert not residual
         leftover = flow_dt - substitute(dx(flux), rules)
         assert all(structures._droppable(key) for key, _c in leftover.terms())
     assert certificate(U() ** 2)[1]
+
+
+_H1, _H2 = hamiltonian_densities()
+_A, _B = structures.A_GAUGE(), structures.B_GAUGE()
+# (name, density, conserved under the full flow, conserved under the bosonic
+# flow or None when the density holds xi)
+_VERDICTS = [
+    ("H1", _H1, True, None),
+    ("H2", _H2, True, None),
+    ("u^2", U() ** 2, False, False),
+    ("u_x^2/2", HALF * U(dx=1) ** 2, False, True),
+    ("u", U(), True, True),
+    ("xi", XI(), True, None),
+    ("u_x", U(dx=1), True, True),
+    ("H1 + u_x", _H1 + U(dx=1), True, None),
+    ("u_x xi_x", U(dx=1) * XI(dx=1), True, None),
+    ("u xi", U() * XI(), False, None),
+    ("u_x^2 xi_x", U(dx=1) ** 2 * XI(dx=1), False, None),
+    ("u u_x^2", U() * U(dx=1) ** 2, False, True),
+    ("u_xx^2", U(dx=2) ** 2, False, False),
+    ("u^2 u_x^2", U() ** 2 * U(dx=1) ** 2, False, False),
+    ("u_x^4", U(dx=1) ** 4, False, False),
+    ("xi_x xi_xx", XI(dx=1) * XI(dx=2), False, None),
+    ("u_x xi_x xi_xx", U(dx=1) * XI(dx=1) * XI(dx=2), False, None),
+    ("u^3", U() ** 3, False, False),
+    ("u_x^3", U(dx=1) ** 3, False, False),
+    ("u_xx xi_x xi_xx", U(dx=2) * XI(dx=1) * XI(dx=2), False, None),
+    ("u u_xx^2", U() * U(dx=2) ** 2, False, False),
+    # formal constants as coefficients
+    ("tau u_x xi_x", TAU() * U(dx=1) * XI(dx=1), True, None),
+    ("tau u xi", TAU() * U() * XI(), False, None),
+    ("A H1", _A * _H1, True, None),
+    ("A u^2", _A * U() ** 2, False, None),
+    ("B u", _B * U(), True, None),
+    ("B u_x xi_x", _B * U(dx=1) * XI(dx=1), True, None),
+    ("A^2 u", _A * _A * U(), True, None),
+    ("u_x^2 xi_x xi_xx", U(dx=1) ** 2 * XI(dx=1) * XI(dx=2), False, None),
+    ("u u_x xi_x xi_xx", U() * U(dx=1) * XI(dx=1) * XI(dx=2), False, None),
+]
+_VERDICT_CASES = [
+    pytest.param(flow, rho, verdict, id=f"{flow}: {name}")
+    for name, rho, *verdicts in _VERDICTS
+    for flow, verdict in zip(("full", "bosonic"), verdicts)
+    if verdict is not None
+]
+
+
+def _multisets(n_kinds: int, size: int) -> int:
+    return math.comb(n_kinds + size - 1, size)
+
+
+@pytest.mark.parametrize("flow, rho, verdict", _VERDICT_CASES)
+def test_conservation_verdicts_within_the_stated_closure(monkeypatch, flow, rho, verdict):
+    # conservation_check's docstring bounds the pure-velocity rows: products of
+    # p, q and constant jets (from the rewriting's residual and the rules' right
+    # sides) of velocity degree 1..d+1 with at most c constant factors
+    system = geodesic_system() if flow == "full" else geodesic_system().bosonic_reduction()
+    rules = system.rules_velocity()
+    velocity = (structures.P_VEL.jet(), structures.Q_VEL.jet())
+    rule_constants = {f for rhs in rules.values() for key, _c in rhs.terms() for f in key[1] if f.symbol.constant}
+    calls = []
+
+    def recording(target, generators):
+        calls.append((dict(target), len(generators)))
+        return reduce_against(target, generators)
+
+    reduce_against = density._reduce_against
+    monkeypatch.setattr(density, "_reduce_against", recording)
+    assert conservation_check(rho, system) is verdict
+    if not verdict:
+        assert len(calls) == 1  # a residual is left only after the pure-velocity step
+    for target, n_rows in calls:
+        degree = max(sum(f in velocity for f in factors) for _lam, factors in target)
+        n_constants = max(sum(f.symbol.constant for f in factors) for _lam, factors in target)
+        constants = rule_constants | {f for _lam, fs in target for f in fs if f.symbol.constant}
+        lams = {lam for lam, _fs in target}
+        bound = (
+            len(lams)
+            * sum(_multisets(len(velocity), n) for n in range(1, degree + 2))
+            * sum(_multisets(len(constants), n) for n in range(n_constants + 1))
+        )
+        assert 0 < n_rows <= bound
 
 
 def test_quadratic_density_conserved_only_for_bosonic_flow():
