@@ -1,7 +1,9 @@
 """Shared generators for seeded property tests, and the tests' reference implementations.
 
 ``random_element`` draws the superconformal algebra elements whose triples
-cross-check the kernel against the generic Jacobi proof of ``check_jacobi``.
+cross-check the kernel against the generic Jacobi proof of ``check_jacobi``;
+``ref_bilinear_B`` and ``ref_apply_J1`` are the closed-form operators that
+``structures`` reads off the bracket and the metric.
 
 ``gmul`` is the reference Grassmann product and ``ref_gmul_stack`` the
 per-pair stack loop whose float results ``gmul_stack`` must reproduce exactly;
@@ -29,7 +31,7 @@ from superhs.density import _Tag, _reduce_against, euler_x
 from superhs.grassmann import even_masks, mask_row, merge_sign, odd_masks
 from superhs.numerics import grid, mask_label
 from superhs import structures
-from superhs.structures import CHI, PSI, W, AlgebraElement
+from superhs.structures import CHI, PSI, W, AlgebraElement, op_A0, op_A1
 
 U = FieldSymbol("u", EVEN)
 V = FieldSymbol("v", EVEN)
@@ -125,6 +127,32 @@ def _random_element_part(rng: random.Random, parity: int, n_terms: int = 2) -> S
 
 def random_element(rng: random.Random) -> AlgebraElement:
     return AlgebraElement(_random_element_part(rng, EVEN), _random_element_part(rng, ODD))
+
+
+def ref_bilinear_B(x: AlgebraElement, y: AlgebraElement) -> Tuple[SymExpr, SymExpr]:
+    """Images (A0*B0, A1*B1) of the geodesic bilinear operator, coefficient by coefficient."""
+    u, phi = x.even_part, x.odd_part
+    v, psi = y.even_part, y.odd_part
+    a0b0 = -(
+        2 * (dx(v) * op_A0(u))
+        + v * op_A0(dx(u))
+        + Fraction(3, 2) * (dx(psi) * op_A1(phi))
+        + Fraction(1, 2) * (psi * op_A1(dx(phi)))
+    )
+    a1b1 = -(
+        Fraction(3, 2) * (dx(v) * op_A1(phi))
+        + v * op_A1(dx(phi))
+        + Fraction(1, 2) * (psi * op_A0(u))
+    )
+    return a0b0, a1b1
+
+
+def ref_apply_J1(p_m: SymExpr, p_eta: SymExpr) -> Tuple[SymExpr, SymExpr]:
+    """The Lie-Poisson operator at m = -u_xx, eta = -xi_xx, row by row."""
+    m, eta, half = -U(dx=2), -XI(dx=2), Fraction(1, 2)
+    row1 = -(dx(m * p_m) + m * dx(p_m)) + half * dx(eta * p_eta) + eta * dx(p_eta)
+    row2 = -dx(eta * p_m) - half * (eta * dx(p_m)) - half * (m * p_eta)
+    return row1, row2
 
 
 def sampled_lie_failures(n_cases: int, seed: int) -> list:

@@ -10,7 +10,7 @@ from superhs.calculus import dt, dx, first_variation, substitute, theta_expand
 from superhs import density, structures
 from superhs.density import equals_mod_dx, euler_xt, integrate_x, is_total_x_derivative, reduce_mod_dx
 from superhs.sexpr import to_sexpr
-from helpers import random_element, random_x_poly, sampled_lie_failures
+from helpers import random_element, random_x_poly, ref_apply_J1, ref_bilinear_B, sampled_lie_failures
 from superhs.structures import (
     CHI,
     PHI,
@@ -41,6 +41,7 @@ from superhs.structures import (
     lax_compatibility,
     lie_bracket,
     closing_ansatz,
+    generic_elements,
     run_suite,
     SUITE_NAMES,
     superfield_u_components,
@@ -126,6 +127,16 @@ def test_bilinear_defining_property_symbolic():
     lhs = inner_product(x, lie_bracket(y, z))
     p0, p1 = bilinear_B(x, y)
     assert is_total_x_derivative(lhs - (p0 * W() - p1 * CHI()))
+
+
+def test_derived_operators_equal_the_closed_forms():
+    # B and J1 are read off the bracket and the metric; the references are coefficient formulas
+    pairs = [generic_elements()[:2]]
+    rng = random.Random(5)
+    pairs += [(random_element(rng), random_element(rng)) for _ in range(40)]
+    for x, y in pairs:
+        assert bilinear_B(x, y) == ref_bilinear_B(x, y)
+        assert apply_J1(y.even_part, y.odd_part) == ref_apply_J1(y.even_part, y.odd_part)
 
 
 # ---------------------------------------------------------------------------
@@ -621,12 +632,29 @@ def test_generic_proof_agrees_with_sampled_triples(monkeypatch, odd_weight, phi_
     assert (sampled_lie_failures(20, seed=123) == []) is lie
 
 
+@pytest.fixture
+def fresh_flow_memo():
+    # geodesic_system() calls lie_bracket: a flow memoized under a patched bracket must not outlive the patch
+    geodesic_system.cache_clear()
+    yield
+    geodesic_system.cache_clear()
+
+
 @pytest.mark.parametrize("odd_weight, phi_psi", [(1, HALF), (HALF, 1)])
-def test_lie_poisson_pairing_pins_the_bracket(monkeypatch, odd_weight, phi_psi):
-    monkeypatch.setattr(structures, "lie_bracket", _bracket_with(odd_weight, phi_psi))
-    result = structures.check_biham()
-    assert not result.passed
-    assert result.detail.split(" || ")[0] == "J1 is Lie-Poisson for the bracket"
+def test_lie_poisson_pairing_pins_the_bracket(fresh_flow_memo, monkeypatch, odd_weight, phi_psi):
+    # a warm memo holds the flow of the true bracket, a cold one builds it from the patched bracket
+    for warm in (True, False):
+        geodesic_system.cache_clear()
+        if warm:
+            geodesic_system()
+        with monkeypatch.context() as patch:
+            patch.setattr(structures, "lie_bracket", _bracket_with(odd_weight, phi_psi))
+            bracket = structures.check_bracket()
+            biham = structures.check_biham()
+        assert not bracket.passed
+        assert "image A1*B1 of B" in bracket.detail.split(" || ")[0].split("; ")
+        assert not biham.passed
+        assert "J1 row 2 at (v, psi)" in biham.detail.split(" || ")[0].split("; ")
 
 
 # ---------------------------------------------------------------------------
