@@ -4,12 +4,15 @@ Exit codes: 0 success, 1 check failure, 2 usage/configuration error
 (including an output path that cannot be written), 3 simulation blow-up.
 
 The solver modules, and numpy with them, are imported only by ``simulate``,
-so ``verify`` and ``report`` run on the pure-Python symbolic layer.
+so ``verify`` and ``report`` run on the pure-Python symbolic layer.  No
+command loads OpenSSL: ``verify``'s config hash, one SHA-256 of the check
+names, comes from CPython's builtin digest module, because ``hashlib`` maps
+OpenSSL's libcrypto into the process (about 3.6 MB resident and 4-5 ms of
+import).
 """
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -27,6 +30,18 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BLOWUP = 3
+
+
+def _sha256_hex(text: str) -> str:
+    """Hex SHA-256 of the UTF-8 text, from the builtin module where CPython ships one."""
+    try:
+        from _sha2 import sha256  # CPython 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10 and 3.11
+        except ImportError:  # a build that routes every digest through OpenSSL
+            from hashlib import sha256
+    return sha256(text.encode()).hexdigest()
 
 
 def _parse_suite(raw: Sequence[str]) -> List[str]:
@@ -63,7 +78,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     entries = run_suite(names)
-    config_hash = hashlib.sha256(",".join(names).encode()).hexdigest()[:16]
+    config_hash = _sha256_hex(",".join(names))[:16]
     report = VerificationReport(entries=entries, metadata=make_metadata(config_hash))
     _print_table(entries)
     if args.out:

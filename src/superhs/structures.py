@@ -56,6 +56,7 @@ from .calculus import (
 )
 from .density import (
     RuleSet,
+    canonical_density,
     euler_xt,
     integrate_x,
     is_total_x_derivative,
@@ -275,6 +276,16 @@ def _exact(label: str, expr: SymExpr, failures: Failures) -> None:
         failures.append((label, expr))
 
 
+def _flow_rules(system: EvolutionSystem, failures: Failures) -> Optional[RuleSet]:
+    """The flow's ``rules_velocity``; None, with one failure recorded, if it has no potentials."""
+    try:
+        return system.rules_velocity()
+    except ValueError:  # a right-hand side is not a total x-derivative
+        rhs = system.rhs_m if not is_total_x_derivative(system.rhs_m) else system.rhs_eta
+        failures.append(("flow has no once-integrated potential", canonical_density(rhs)))
+        return None
+
+
 def _bad_bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     # an extra -a_x*b_odd/2 unbalances the odd slot's derivative weight and breaks Jacobi,
     # unlike a rescaled phi*psi term, which gives an isomorphic algebra
@@ -448,8 +459,10 @@ def action_density() -> SymExpr:
 @_check("lagrangian")
 def check_lagrangian(failures: Failures) -> None:
     """Space-time Euler operators of the action vanish on the flow (``rules_velocity``)."""
+    rules = _flow_rules(geodesic_system(), failures)
+    if rules is None:
+        return
     sigma = action_density()
-    rules = geodesic_system().rules_velocity()
 
     e_u = euler_xt(sigma, U)
     e_xi = euler_xt(sigma, XI)
@@ -487,7 +500,9 @@ def susy_variation() -> Mapping[FieldSymbol, SymExpr]:
 def check_susy(failures: Failures) -> None:
     """First-order invariance of both equations under the odd transformation (``rules_velocity``)."""
     system = geodesic_system()
-    rules = system.rules_velocity()
+    rules = _flow_rules(system, failures)
+    if rules is None:
+        return
     residual_1 = U(dx=2, dt=1) + system.rhs_m
     residual_2 = XI(dx=2, dt=1) + system.rhs_eta
 
@@ -790,6 +805,8 @@ def conservation_check(density: SymExpr, system: Optional[EvolutionSystem] = Non
 def check_conservation(failures: Failures) -> None:
     """H1 and H2 are conserved; the quadratic control density is not."""
     system = geodesic_system()
+    if _flow_rules(system, failures) is None:
+        return
     h1, h2 = hamiltonian_densities()
     if not conservation_check(h1, system):
         failures.append(("H1 not conserved", h1))

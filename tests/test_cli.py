@@ -1,10 +1,12 @@
+import hashlib
 import json
+import sys
 import warnings
 
 import pytest
 
 from superhs import numerics
-from superhs.cli import main
+from superhs.cli import _parse_suite, _sha256_hex, main
 from superhs.reporting import VerificationReport
 from superhs.structures import SUITE_NAMES
 
@@ -102,6 +104,21 @@ def test_verify_reports_deterministic(tmp_path):
     assert main(["verify", "--suite", "geodesic,biham", "--out", str(out1)]) == 0
     assert main(["verify", "--suite", "geodesic,biham", "--out", str(out2)]) == 0
     assert _strip_nondeterministic(out1.read_text()) == _strip_nondeterministic(out2.read_text())
+
+
+@pytest.mark.parametrize("suite", [["all"], ["bracket"], ["all,jacobi"]])
+def test_config_hash_is_the_sha256_of_the_check_names(monkeypatch, suite):
+    text = ",".join(_parse_suite(suite))
+    expected = hashlib.sha256(text.encode()).hexdigest()
+    assert _sha256_hex(text) == expected
+    if suite == ["all"]:
+        assert expected[:16] == "7ef157867e43ba71"
+    # a build without the builtin digest module falls back to hashlib
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    with pytest.raises(ImportError):
+        import _sha256  # noqa: F401
+    assert _sha256_hex(text) == expected
 
 
 def test_simulate_zero_data(tmp_path):

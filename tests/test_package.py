@@ -81,6 +81,32 @@ def test_verify_loads_no_numpy():
     assert run.returncode == 0, run.stderr
 
 
+def test_no_command_loads_openssl(tmp_path):
+    # hashlib maps OpenSSL's libcrypto through _hashlib; the config hash uses the builtin digest
+    (tmp_path / "cfg.json").write_text(
+        '{"n_modes": 64, "dt": 0.002, "t_end": 0.02, "n_grassmann": 2, "sample_stride": 5,'
+        ' "initial": {"u": [{"level": [], "cos": {"1": 1.0}}],'
+        ' "xi": [{"level": [1], "cos": {"1": 0.1}}]}}'
+    )
+    code = (
+        "import sys\n"
+        "from superhs.cli import main\n"
+        "work = sys.argv[1]\n"
+        "assert main(['verify', '--suite', 'bracket', '--out', work + '/r.json']) == 0\n"
+        "assert main(['report', work + '/r.json']) == 0\n"
+        "assert main(['simulate', '--config', work + '/cfg.json', '--out-dir', work + '/out']) == 0\n"
+        "loaded = {'hashlib', '_hashlib'} & set(sys.modules)\n"
+        "assert not loaded, f'superhs loaded {sorted(loaded)}'\n"
+        # negative control: hashlib itself loads the OpenSSL binding
+        "import hashlib\n"
+        "assert '_hashlib' in sys.modules\n"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
 def test_solver_names_stay_importable_from_the_package():
     names = ("BlowUpError", "GridState", "SolverConfig", "Trajectory", "conserved_quantities",
              "evaluate", "evolve", "initial_state", "residual_check", "rhs_once_integrated", "step")

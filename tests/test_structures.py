@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 
 from superhs.algebra import EVEN, ODD, FieldSymbol, ParityError, SymExpr, lam_power, theta_factor
 from superhs.calculus import dt, dx, first_variation, substitute, theta_expand
-from superhs import density, structures
+from superhs import cli, density, structures
 from superhs.density import equals_mod_dx, euler_xt, integrate_x, is_total_x_derivative, reduce_mod_dx
 from superhs.sexpr import to_sexpr
 from helpers import random_element, random_x_poly, ref_apply_J1, ref_bilinear_B, sampled_lie_failures
@@ -655,6 +656,38 @@ def test_lie_poisson_pairing_pins_the_bracket(fresh_flow_memo, monkeypatch, odd_
         assert "image A1*B1 of B" in bracket.detail.split(" || ")[0].split("; ")
         assert not biham.passed
         assert "J1 row 2 at (v, psi)" in biham.detail.split(" || ")[0].split("; ")
+
+
+def _metric_with_odd_weight(weight):
+    """The H^1 density u_x*v_x + weight*phi_x*psi."""
+
+    def metric(x, y):
+        return dx(x.even_part) * dx(y.even_part) + weight * (dx(x.odd_part) * y.odd_part)
+
+    return metric
+
+
+def test_flow_without_potentials_fails_the_checks_that_need_them(fresh_flow_memo, monkeypatch):
+    # a doubled phi_x*psi term leaves rhs_eta with no x-antiderivative; each check runs
+    # once on a cleared memo and once on the memo holding the patched flow
+    names = ("lagrangian", "susy", "conservation")
+    assert inner_product(*generic_elements()[:2]) == _metric_with_odd_weight(1)(*generic_elements()[:2])
+    with monkeypatch.context() as patch:
+        patch.setattr(structures, "inner_product", _metric_with_odd_weight(2))
+        flow = geodesic_system()
+        assert is_total_x_derivative(flow.rhs_m) and not is_total_x_derivative(flow.rhs_eta)
+        residual = to_sexpr(density.canonical_density(flow.rhs_eta))
+        for cold, name in itertools.product((True, False), names):
+            if cold:
+                geodesic_system.cache_clear()
+            result = structures.CHECKS[name]()
+            assert not result.passed
+            assert result.detail == "flow has no once-integrated potential"
+            assert result.residual == residual
+        assert cli.main(["verify", "--suite", ",".join(names)]) == 1
+    # negative control: with the true metric the same checks pass
+    geodesic_system.cache_clear()
+    assert all(result.passed for result in run_suite(names))
 
 
 # ---------------------------------------------------------------------------
