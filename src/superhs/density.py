@@ -184,16 +184,20 @@ class RuleSet(Mapping[JetFactor, SymExpr]):
     """A read-only substitution rule mapping that keeps the ``dx`` images built under it.
 
     ``reduce_mod_dx`` keeps in ``_images`` each ``substitute(dx(monomial), self)``
-    it builds and its leading term, keyed by the monomial's ``TermKey``, for as
-    long as the rule set lives.  The rules cannot change after construction
-    (item assignment raises ``TypeError``), so no image goes stale.
+    it builds and its leading term, keyed by the monomial's ``TermKey``, and in
+    ``_rows`` each pure-velocity row it reduces, the normal form of that
+    monomial's image and its witness, keyed by the monomial and the
+    ``droppable`` it was reduced under, for as long as the rule set lives.  The
+    rules cannot change after construction (item assignment raises
+    ``TypeError``), so no image or row goes stale.
     """
 
-    __slots__ = ("_rules", "_images")
+    __slots__ = ("_rules", "_images", "_rows")
 
     def __init__(self, rules: Mapping[JetFactor, SymExpr]):
         self._rules = dict(rules)
         self._images: Dict[TermKey, Tuple[Optional[TermKey], SymExpr]] = {}
+        self._rows: Dict[tuple, Tuple[Dict[TermKey, Fraction], Dict[TermKey, Fraction]]] = {}
 
     def __getitem__(self, key: JetFactor) -> SymExpr:
         return self._rules[key]
@@ -226,12 +230,12 @@ def reduce_mod_dx(
     sides, are rewritten too, and one ``_reduce_against`` call reduces the
     residual against them.  So ``target == dx(F)`` (under ``rules``) plus
     droppable terms plus the residual.  A superspace jet raises
-    ``ValueError``.  A ``RuleSet`` caches the images; other ``rules`` get a
-    cache for this call only.
+    ``ValueError``.  A ``RuleSet`` caches the images and the reduced
+    pure-velocity rows; other ``rules`` get a cache for this call only.
     """
     _check_component_only(target)
     velocity = {JetFactor(k.symbol, k.dx - 1, k.dt) for k in rules or () if k.dx}
-    cache = rules._images if isinstance(rules, RuleSet) else {}
+    cache, row_cache = (rules._images, rules._rows) if isinstance(rules, RuleSet) else ({}, {})
 
     def order(key: TermKey) -> tuple:
         return sum(f in velocity for f in key[1]), _elimination_key(key)
@@ -297,8 +301,10 @@ def reduce_mod_dx(
             sorted_ = _sort_factors(fs)
             if sorted_ is not None:
                 m = (lam, sorted_[1])
-                row, row_witness = normal_form(image(m)[1])
-                row[_Tag({m: Fraction(1), **{k: -v for k, v in row_witness.items()}})] = Fraction(1)
+                if (m, droppable) not in row_cache:
+                    row_cache[m, droppable] = normal_form(image(m)[1])
+                row, row_witness = row_cache[m, droppable]
+                row = {**row, _Tag({m: Fraction(1), **{k: -v for k, v in row_witness.items()}}): Fraction(1)}
                 rows.append(row)
         reduced = _reduce_against(residual, rows)
         residual = {k: v for k, v in reduced.items() if not isinstance(k, _Tag)}

@@ -27,6 +27,12 @@ built once per grid and order.  A classical explicit fourth-order one-step
 method advances the solution, summing its weighted slopes as each stage
 ends; wave-breaking shows up as a NaN/Inf and aborts with a diagnostic
 rather than attempting continuation.
+
+``evolve`` checks each run against the second-order system as it goes: the
+residual at a sample needs only its neighbours, so it is taken as the samples
+arrive, and the solver holds the last three sampled states, never the whole
+trajectory.  ``residual_check`` takes the same residual of any sequence of
+states with the same per-triple kernel.
 """
 from __future__ import annotations
 
@@ -34,9 +40,9 @@ import json
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -47,8 +53,9 @@ from .structures import XI, U, geodesic_system, hamiltonian_densities
 TWO_PI = 2.0 * np.pi
 # rows per field stack grow as 2**(N-1) and product pairs as 3**N
 MAX_GRASSMANN = 8
-# evolve keeps every sampled state: each holds 2**N rows of n_modes doubles
 MAX_STEPS = 10**7
+# all sampled states together, 2**N rows of n_modes doubles each: evolve holds only
+# the last three, so this bounds the recorded series rather than the memory held
 MAX_TRAJECTORY_BYTES = 2**30
 
 
@@ -423,66 +430,100 @@ class ConservedSample:
 
 @dataclass
 class Trajectory:
-    states: List[GridState] = field(default_factory=list)
-    samples: List[ConservedSample] = field(default_factory=list)
+    """The invariants of every sample, the final state and the run's residual.
 
-    @property
-    def final(self) -> GridState:
-        return self.states[-1]
+    ``residual`` is ``residual_check`` of the sampled states, or None when
+    fewer than three of them are evenly spaced from the start.
+    """
+
+    samples: List[ConservedSample]
+    final: GridState
+    residual: Optional[float]
+
+
+def _evenly_spaced(gap: float, dt_s: float) -> bool:
+    """Is a gap between samples the first spacing, up to rounding?"""
+    return abs(gap - dt_s) <= 1e-12
+
+
+def _triple_residual(prev: GridState, cur: GridState, nxt: GridState, dt_s: float) -> float:
+    """Max residual of both lines of the second-order system at ``cur``.
+
+    Time derivatives are centered differences over ``prev`` and ``nxt``.  The
+    jets, m_t and eta_t are freed when the call returns, so no two triples'
+    temporaries are alive at once.
+    """
+    orders, (rhs_m, rhs_eta) = _system_terms()["residual"]
+    # m_t and eta_t for m = -u_xx and eta = -xi_xx
+    m_t = -spectral_dx((nxt.u - prev.u) / (2 * dt_s), 2)
+    eta_t = -spectral_dx((nxt.xi - prev.xi) / (2 * dt_s), 2)
+    stacks = _jet_stacks(cur, orders)
+    worst = 0.0
+    for lhs, terms in ((m_t, rhs_m), (eta_t, rhs_eta)):
+        rhs = _sum_products(terms, stacks, cur.n_grassmann)
+        worst = max(worst, float(np.abs(lhs - rhs).max(initial=0.0)))
+    return worst
 
 
 def evolve(state0: GridState, cfg: SolverConfig) -> Trajectory:
-    """Advance to t_end, storing states and invariants every sample_stride steps."""
+    """Advance to t_end, sampling the invariants every sample_stride steps and at the end.
+
+    The residual is taken as the samples arrive, one triple of consecutive
+    samples at a time, so only the last three sampled states are ever held;
+    it equals ``residual_check`` of all of them.  ``state0`` is not modified.
+    """
     n_steps = int(round(cfg.t_end / cfg.dt))
-    traj = Trajectory()
+    samples: List[ConservedSample] = []
+    window: List[GridState] = []  # copies of the last sampled states, at most three
+    residual: Optional[float] = None
+    uniform = True  # the samples so far are evenly spaced from the start
 
     def record(s: GridState) -> None:
+        nonlocal residual, uniform
         integrals, l1_norms = _invariants_with_l1(s)
+        samples.append(ConservedSample(s.time, *integrals, s.max_abs_ux(), *l1_norms))
         # ``step`` returns fresh arrays, but they were allocated among its
         # temporaries; under glibc malloc, keeping them instead of a copy
         # fragments the heap (peak RSS 44.7 -> 48.0 MB at N=6, n=1024)
-        traj.states.append(s.copy())
-        traj.samples.append(ConservedSample(s.time, *integrals, s.max_abs_ux(), *l1_norms))
+        window.append(s.copy())
+        if uniform and len(samples) > 2:
+            dt_s = samples[1].time - samples[0].time  # every triple's, as in residual_check
+            uniform = _evenly_spaced(s.time - samples[-2].time, dt_s)
+            if uniform:
+                worst = _triple_residual(*window, dt_s)
+                residual = worst if residual is None else max(residual, worst)
+        del window[:-2]
 
-    state = state0.copy()
+    state = state0
+    del state0  # so that the first step frees the initial state unless the caller holds it
     record(state)
     for i in range(1, n_steps + 1):
         state = step(state, cfg)
         if i % cfg.sample_stride == 0 or i == n_steps:
             record(state)
-    return traj
+    return Trajectory(samples, window[-1], residual)
 
 
-def residual_check(traj: Trajectory) -> float:
-    """Max PDE residual of the stored trajectory (manufactured-residual style).
+def residual_check(states: Sequence[GridState]) -> float:
+    """Max PDE residual of a sequence of sampled states (manufactured-residual style).
 
     Time derivatives come from centered differences of the samples, space
     derivatives are spectral; both lines of the second-order system,
     m_t = rhs_m and eta_t = rhs_eta of ``geodesic_system()``, are evaluated on
-    every Grassmann level.
+    every Grassmann level at each interior sample of the longest run evenly
+    spaced from the start (the last sample may be closer).  ``evolve`` takes
+    the same residual as it samples.  Fewer than three evenly spaced samples
+    raise ``ValueError``: they have no interior sample.
     """
-    if len(traj.states) < 3:
-        raise ValueError("need at least three stored samples")
-    # require uniform spacing (the last sample may repeat the stride boundary)
-    times = [s.time for s in traj.states]
-    dt_s = times[1] - times[0]
-    usable = len(traj.states)
-    for i in range(1, usable):
-        if abs((times[i] - times[i - 1]) - dt_s) > 1e-12:
-            usable = i
-            break
-    orders, (rhs_m, rhs_eta) = _system_terms()["residual"]
-    worst = 0.0
-    for i in range(1, usable - 1):
-        prev, cur, nxt = traj.states[i - 1], traj.states[i], traj.states[i + 1]
-        # m_t and eta_t for m = -u_xx and eta = -xi_xx
-        m_t = -spectral_dx((nxt.u - prev.u) / (2 * dt_s), 2)
-        eta_t = -spectral_dx((nxt.xi - prev.xi) / (2 * dt_s), 2)
-        stacks = _jet_stacks(cur, orders)
-        for lhs, terms in ((m_t, rhs_m), (eta_t, rhs_eta)):
-            rhs = _sum_products(terms, stacks, cur.n_grassmann)
-            worst = max(worst, float(np.abs(lhs - rhs).max(initial=0.0)))
-    return worst
+    times = [s.time for s in states]
+    usable = len(times)
+    if usable >= 2:
+        dt_s = times[1] - times[0]
+        gaps = (i for i in range(2, usable) if not _evenly_spaced(times[i] - times[i - 1], dt_s))
+        usable = next(gaps, usable)
+    if usable < 3:
+        raise ValueError("need at least three samples evenly spaced from the start")
+    return max(_triple_residual(*states[i - 1 : i + 2], dt_s) for i in range(1, usable - 1))
 
 
 # ---------------------------------------------------------------------------

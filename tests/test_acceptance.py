@@ -21,7 +21,6 @@ from superhs.numerics import (
     evaluate,
     evolve,
     grid,
-    residual_check,
     rhs_once_integrated,
     spectral_dx,
     step,
@@ -233,9 +232,9 @@ def test_criterion_11_numerics_fermionic():
         assert np.abs(traj.final.u[mask_row(0b11)]).max() > 1e-5  # top level excited
         _check_conservation_series(traj, state, 2, 1e-7)
 
-        coarse = residual_check(traj)
+        coarse = traj.residual
         cfg_fine = SolverConfig(n_modes=512, dt=5e-4, t_end=0.5, n_grassmann=2, sample_stride=10)
-        fine = residual_check(evolve(_fermionic_state(512), cfg_fine))
+        fine = evolve(_fermionic_state(512), cfg_fine).residual
         ratio = coarse / fine
         assert 3.5 <= ratio <= 4.5  # second-order sampling of the time derivative
 

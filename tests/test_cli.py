@@ -152,6 +152,16 @@ def test_simulate_records_conservation(tmp_path):
     assert "residual_check" in summary
 
 
+def test_simulate_leaves_out_a_residual_with_no_interior_sample(tmp_path):
+    # samples at 0, 4 dt and 6 dt: only two of them are evenly spaced from the start
+    cfg = write_config(tmp_path / "cfg.json", dt=1e-3, t_end=6e-3, sample_stride=4)
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert len((out_dir / "series.csv").read_text().splitlines()) == 1 + 3
+    assert "residual_check" not in summary
+
+
 def test_simulate_blowup_exits_3(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", dt=50.0, t_end=500.0)
     out_dir = tmp_path / "boom"

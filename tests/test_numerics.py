@@ -409,26 +409,89 @@ def test_cfl_warning():
         step(state, cfg)
 
 
+def sampled_states(state, cfg):
+    """The states ``evolve`` samples, stepped by hand: the first, every sample_stride-th and the last."""
+    n_steps = round(cfg.t_end / cfg.dt)
+    states = [state]
+    for i in range(1, n_steps + 1):
+        state = step(state, cfg)
+        if i % cfg.sample_stride == 0 or i == n_steps:
+            states.append(state)
+    return states
+
+
 def test_residual_check_flags_corruption():
     cfg = SolverConfig(n_modes=128, dt=1e-3, t_end=0.05, n_grassmann=0, sample_stride=10)
-    traj = evolve(bosonic_cos_state(128), cfg)
-    clean = residual_check(traj)
-    traj.states[2].u[0][7] += 0.1
-    corrupted = residual_check(traj)
+    states = sampled_states(bosonic_cos_state(128), cfg)
+    clean = residual_check(states)
+    states[2].u[0][7] += 0.1
+    corrupted = residual_check(states)
     assert corrupted > 100 * clean
 
 
 def test_residual_check_needs_three_samples():
     cfg = SolverConfig(n_modes=64, dt=1e-3, t_end=2e-3, n_grassmann=0, sample_stride=5)
-    traj = evolve(GridState.zeros(64, 0), cfg)
+    states = sampled_states(GridState.zeros(64, 0), cfg)
     with pytest.raises(ValueError):
-        residual_check(traj)
+        residual_check(states)
+    assert evolve(GridState.zeros(64, 0), cfg).residual is None
+
+
+def test_residual_check_needs_an_evenly_spaced_interior_sample():
+    # samples at 0, 4 dt and 6 dt: three states, of which only two are evenly
+    # spaced from the start, so there is no interior sample to check
+    cfg = SolverConfig(n_modes=64, dt=1e-3, t_end=6e-3, n_grassmann=2, sample_stride=4)
+    states = sampled_states(fermionic_state(64), cfg)
+    assert len(states) == 3
+    with pytest.raises(ValueError):
+        residual_check(states)
+    assert evolve(fermionic_state(64), cfg).residual is None
 
 
 def test_residual_check_zero_state_is_exact():
     cfg = SolverConfig(n_modes=64, dt=1e-3, t_end=0.01, n_grassmann=2, sample_stride=1)
-    traj = evolve(GridState.zeros(64, 2), cfg)
-    assert residual_check(traj) == 0.0
+    assert residual_check(sampled_states(GridState.zeros(64, 2), cfg)) == 0.0
+    assert evolve(GridState.zeros(64, 2), cfg).residual == 0.0
+
+
+@pytest.mark.parametrize("dt", [1 / 1024, 1e-3])
+def test_evolve_streams_the_residual_of_its_samples(dt):
+    # samples at 0, 3, ..., 18 steps and a short last stride to 20; at dt = 1e-3
+    # a triple's own spacing differs from the first spacing in its last bits,
+    # and every triple must use the first, as residual_check does
+    cfg = SolverConfig(n_modes=64, dt=dt, t_end=20 * dt, n_grassmann=2, sample_stride=3)
+    states = sampled_states(fermionic_state(64), cfg)
+    traj = evolve(fermionic_state(64), cfg)
+    assert [s.time for s in traj.samples] == [s.time for s in states]
+    assert traj.residual == residual_check(states)
+    assert traj.final.u.tobytes() == states[-1].u.tobytes()
+    assert traj.final.xi.tobytes() == states[-1].xi.tobytes()
+
+
+def test_evolve_memory_does_not_grow_with_the_sample_count():
+    # the bench's state size: 64 rows of 1024 doubles, 512 KiB
+    n, n_grassmann = 1024, 6
+    x = grid(n)
+    state = GridState.zeros(n, n_grassmann)
+    state.u[0][:] = np.cos(x)
+    for row in range(len(state.xi)):
+        state.xi[row][:] = 0.05 * np.cos((row % 3 + 1) * x)
+
+    def peak(n_samples):
+        cfg = SolverConfig(
+            n_modes=n, dt=1 / 1024, t_end=(n_samples - 1) / 1024, n_grassmann=n_grassmann, sample_stride=1
+        )
+        tracemalloc.start()
+        try:
+            evolve(state, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(4)  # the per-process caches (float terms, spectral factors) are built outside the measured runs
+    few, many = peak(4), peak(40)
+    # a count of allocated bytes, so it holds whatever the heap layout
+    assert many - few < state.u.nbytes + state.xi.nbytes
 
 
 def test_initial_state_parsing_and_validation():

@@ -254,6 +254,34 @@ def test_no_rule_set_answers_for_another(monkeypatch):
     assert built
 
 
+def test_rule_set_keeps_its_reduced_pure_velocity_rows(monkeypatch):
+    # a repeat reduction under one rule set takes its pure-velocity rows from the
+    # rule set; a fresh system's rule set, which keeps nothing yet, reduces them again
+    system = geodesic_system()
+    target = substitute(dt(hamiltonian_densities()[1]), system.rules_velocity())
+    calls = []
+    insort = density.insort
+
+    def counting(*args):
+        calls.append(args)
+        return insort(*args)
+
+    monkeypatch.setattr(density, "insort", counting)
+
+    def reduce(flow, droppable):
+        calls.clear()
+        out = reduce_mod_dx(target, flow.rules_velocity(), droppable)
+        return out, len(calls)
+
+    reduce(system, structures._droppable)
+    warm, warm_calls = reduce(system, structures._droppable)
+    cold, cold_calls = reduce(EvolutionSystem(system.rhs_m, system.rhs_eta), structures._droppable)
+    assert warm == cold and not warm[0]  # H2 is conserved
+    assert 10 * warm_calls < cold_calls
+    # rows are kept per droppable: without one, the kept rows give a fresh rule set's answer
+    assert reduce(system, None)[0] == reduce(EvolutionSystem(system.rhs_m, system.rhs_eta), None)[0]
+
+
 def test_apply_J1_on_first_gradients():
     row1, row2 = apply_J1(U(), XI(dx=1))
     assert row1 == RHS_M
