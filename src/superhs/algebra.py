@@ -36,7 +36,6 @@ whole package; ``numerics.evaluate`` turns an expression into numbers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, ClassVar, Dict, Hashable, Iterable, Iterator, Mapping, Optional, Tuple, Union
@@ -51,25 +50,46 @@ class ParityError(ValueError):
     """Raised when an operation would violate the Z/2 grading."""
 
 
-@dataclass(frozen=True)
 class FieldSymbol:
     """A declared field: name, parity, and which coordinates it depends on.
 
     ``superspace`` fields depend on ``(x, t, theta)`` and their jets may carry
     one odd derivative; ``constant`` symbols depend on no coordinate at all
     (formal constants such as gauge means or an odd transformation parameter).
+    Immutable, with value equality; the hash is that of the
+    ``(name, parity, superspace, constant)`` tuple, computed once, so set
+    orders follow the symbol's value.
     """
 
-    name: str
-    parity: int
-    superspace: bool = False
-    constant: bool = False
+    __slots__ = ("name", "parity", "superspace", "constant", "_key", "_hash")
 
-    def __post_init__(self):
-        if self.parity not in (EVEN, ODD):
-            raise ValueError(f"parity must be 0 or 1, got {self.parity}")
-        if self.superspace and self.constant:
+    def __init__(self, name: str, parity: int, superspace: bool = False, constant: bool = False):
+        if parity not in (EVEN, ODD):
+            raise ValueError(f"parity must be 0 or 1, got {parity}")
+        if superspace and constant:
             raise ValueError("a symbol cannot be both superspace and constant")
+        key = (name, parity, superspace, constant)
+        for attr, value in (
+            ("name", name), ("parity", parity), ("superspace", superspace), ("constant", constant),
+            ("_key", key), ("_hash", hash(key)),
+        ):
+            object.__setattr__(self, attr, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FieldSymbol is immutable")
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return FieldSymbol, self._key
 
     def jet(self, dx: int = 0, dt: int = 0, dtheta: int = 0) -> "JetFactor":
         return JetFactor(self, dx, dt, dtheta)

@@ -28,7 +28,6 @@ Conventions fixed here:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from typing import Dict, Mapping, Tuple
 
@@ -125,12 +124,13 @@ def _order(jet: JetFactor) -> int:
     return jet.d_order if jet.symbol.superspace else jet.dx
 
 
-@dataclass(frozen=True)
 class SuperfieldExpr:
     """Theta-expansion of an expression: ``body + theta*soul``."""
 
-    body: SymExpr
-    soul: SymExpr
+    __slots__ = ("body", "soul")
+
+    def __init__(self, body: SymExpr, soul: SymExpr):
+        self.body, self.soul = body, soul
 
 
 def theta_expand(e: SymExpr) -> SuperfieldExpr:

@@ -40,7 +40,6 @@ import json
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -68,8 +67,16 @@ class BlowUpError(RuntimeError):
         self.diagnostics = diagnostics
 
 
-# value type of each config field, by its annotation; bools count only as bool
-_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
+# each config field: the type its value must have, that type's name, and its default
+_CONFIG_FIELDS = {
+    "n_modes": (numbers.Integral, "int", 256),
+    "dt": (numbers.Real, "float", 1e-3),
+    "t_end": (numbers.Real, "float", 1.0),
+    "n_grassmann": (numbers.Integral, "int", 2),
+    "gauge": (str, "str", "zero_mean_ut"),
+    "dealias": (bool, "bool", True),
+    "sample_stride": (numbers.Integral, "int", 1),
+}
 
 
 def _require(value, kind, what: str):
@@ -79,19 +86,18 @@ def _require(value, kind, what: str):
     return value
 
 
-@dataclass(frozen=True)
 class SolverConfig:
-    n_modes: int = 256
-    dt: float = 1e-3
-    t_end: float = 1.0
-    n_grassmann: int = 2
-    gauge: str = "zero_mean_ut"
-    dealias: bool = True
-    sample_stride: int = 1
+    """The solver's settings, given by keyword; each one absent takes its ``_CONFIG_FIELDS`` default."""
 
-    def __post_init__(self):
-        for f in fields(self):
-            _require(getattr(self, f.name), _FIELD_TYPES[f.type], f"{f.name} must be of type {f.type}")
+    __slots__ = tuple(_CONFIG_FIELDS)
+
+    def __init__(self, **settings):
+        unknown = sorted(set(settings) - set(_CONFIG_FIELDS))
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+        for name, (kind, type_name, default) in _CONFIG_FIELDS.items():
+            value = settings.get(name, default)
+            setattr(self, name, _require(value, kind, f"{name} must be of type {type_name}"))
         if self.n_modes < 16 or self.n_modes & (self.n_modes - 1):
             raise ValueError("n_modes must be a power of two, at least 16")
         if self.dt <= 0:
@@ -118,13 +124,6 @@ class SolverConfig:
                 f"the stored trajectory would take {state_bytes} bytes, "
                 f"above the limit of {MAX_TRAJECTORY_BYTES}"
             )
-
-    @staticmethod
-    def from_dict(data: Mapping) -> "SolverConfig":
-        unknown = sorted(set(data) - {f.name for f in fields(SolverConfig)})
-        if unknown:
-            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-        return SolverConfig(**data)
 
 
 def grid(n_modes: int) -> np.ndarray:
@@ -173,7 +172,6 @@ def spectral_antiderivative(arr: np.ndarray, dealias: bool = False) -> np.ndarra
     return np.fft.irfft(spec, n)
 
 
-@dataclass
 class GridState:
     """Physical-space samples of every Grassmann level of u and xi.
 
@@ -181,9 +179,10 @@ class GridState:
     complementary levels are identically zero by parity and never stored.
     """
 
-    u: np.ndarray
-    xi: np.ndarray
-    time: float = 0.0
+    __slots__ = ("u", "xi", "time")
+
+    def __init__(self, u: np.ndarray, xi: np.ndarray, time: float = 0.0):
+        self.u, self.xi, self.time = u, xi, time
 
     @property
     def n_modes(self) -> int:
@@ -416,19 +415,17 @@ def conserved_quantities(state: GridState) -> Tuple[np.ndarray, np.ndarray]:
     return _invariants_with_l1(state)[0]
 
 
-@dataclass
 class ConservedSample:
     """H1 and H2 per level at one time, with their L1 norms 2*pi*mean|integrand|."""
 
-    time: float
-    h1: np.ndarray
-    h2: np.ndarray
-    max_abs_ux: float
-    h1_l1: np.ndarray
-    h2_l1: np.ndarray
+    __slots__ = ("time", "h1", "h2", "max_abs_ux", "h1_l1", "h2_l1")
+
+    def __init__(self, time: float, h1: np.ndarray, h2: np.ndarray, max_abs_ux: float,
+                 h1_l1: np.ndarray, h2_l1: np.ndarray):
+        self.time, self.h1, self.h2, self.max_abs_ux = time, h1, h2, max_abs_ux
+        self.h1_l1, self.h2_l1 = h1_l1, h2_l1
 
 
-@dataclass
 class Trajectory:
     """The invariants of every sample, the final state and the run's residual.
 
@@ -436,9 +433,10 @@ class Trajectory:
     fewer than three of them are evenly spaced from the start.
     """
 
-    samples: List[ConservedSample]
-    final: GridState
-    residual: Optional[float]
+    __slots__ = ("samples", "final", "residual")
+
+    def __init__(self, samples: List[ConservedSample], final: GridState, residual: Optional[float]):
+        self.samples, self.final, self.residual = samples, final, residual
 
 
 def _evenly_spaced(gap: float, dt_s: float) -> bool:
@@ -602,7 +600,7 @@ def load_config(path: str) -> Tuple[SolverConfig, Mapping]:
     if not isinstance(data, dict):
         raise ValueError("the configuration must be a JSON object")
     settings = {key: value for key, value in data.items() if key != "initial"}
-    return SolverConfig.from_dict(settings), data.get("initial", {})
+    return SolverConfig(**settings), data.get("initial", {})
 
 
 def mask_label(mask: int) -> str:

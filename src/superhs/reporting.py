@@ -5,26 +5,33 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 TOOL_NAME = "superhs"
 TOOL_VERSION = "0.1.0"
 
+# the fields of a CheckResult and their JSON types; the first two are required
+_ENTRY_TYPES = {"check_id": str, "passed": bool, "residual": str, "elapsed": (int, float), "detail": str}
 
-@dataclass
+
 class CheckResult:
-    check_id: str
-    passed: bool
-    residual: str = ""  # serialized nonzero residual, empty on pass
-    elapsed: float = 0.0
-    detail: str = ""
+    """One check's outcome; ``residual`` is the serialized nonzero residual, empty on pass."""
+
+    __slots__ = tuple(_ENTRY_TYPES)
+
+    def __init__(self, check_id: str, passed: bool, residual: str = "", elapsed: float = 0.0, detail: str = ""):
+        self.check_id, self.passed, self.residual = check_id, passed, residual
+        self.elapsed, self.detail = elapsed, detail
 
 
-@dataclass
 class VerificationReport:
-    entries: List[CheckResult]
-    metadata: Dict[str, str] = field(default_factory=dict)
+    """The entries of one ``verify`` run and its metadata, as one JSON document."""
+
+    __slots__ = ("entries", "metadata")
+
+    def __init__(self, entries: List[CheckResult], metadata: Optional[Dict[str, str]] = None):
+        self.entries = entries
+        self.metadata = {} if metadata is None else metadata
 
     def all_passed(self) -> bool:
         return all(entry.passed for entry in self.entries)
@@ -34,7 +41,7 @@ class VerificationReport:
             "tool": TOOL_NAME,
             "version": TOOL_VERSION,
             "metadata": self.metadata,
-            "entries": [asdict(entry) for entry in self.entries],
+            "entries": [{key: getattr(entry, key) for key in _ENTRY_TYPES} for entry in self.entries],
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -51,10 +58,6 @@ class VerificationReport:
         if not isinstance(metadata, dict):
             raise ValueError('"metadata" must be an object')
         return VerificationReport([_check_result(entry) for entry in entries], metadata)
-
-
-# the JSON types of each CheckResult field; the first two are required
-_ENTRY_TYPES = {"check_id": str, "passed": bool, "residual": str, "elapsed": (int, float), "detail": str}
 
 
 def _check_result(entry) -> CheckResult:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -107,16 +106,20 @@ def op_A1(e: SymExpr) -> SymExpr:
     return -dx(e)
 
 
-@dataclass(frozen=True)
 class AlgebraElement:
     """A pair (even function, odd function) of the superconformal algebra."""
 
-    even_part: SymExpr
-    odd_part: SymExpr
+    __slots__ = ("even_part", "odd_part")
 
-    def __post_init__(self):
-        require_parity(self.even_part, EVEN, "even_part")
-        require_parity(self.odd_part, ODD, "odd_part")
+    def __init__(self, even_part: SymExpr, odd_part: SymExpr):
+        require_parity(even_part, EVEN, "even_part")
+        require_parity(odd_part, ODD, "odd_part")
+        self.even_part, self.odd_part = even_part, odd_part
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.even_part == other.even_part and self.odd_part == other.odd_part
 
 
 def lie_bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -166,16 +169,17 @@ def bilinear_B(x: AlgebraElement, y: AlgebraElement) -> Tuple[SymExpr, SymExpr]:
     return _images(lambda z: inner_product(x, lie_bracket(y, z)))
 
 
-@dataclass(frozen=True)
 class EvolutionSystem:
-    """Right-hand sides of the evolution of m = -u_xx and eta = -xi_xx."""
+    """Right-hand sides of the evolution of m = -u_xx and eta = -xi_xx.
 
-    rhs_m: SymExpr
-    rhs_eta: SymExpr
+    No ``__slots__``: ``functools.cached_property`` keeps its values in the
+    instance ``__dict__``.
+    """
 
-    def __post_init__(self):
-        require_parity(self.rhs_m, EVEN, "rhs_m")
-        require_parity(self.rhs_eta, ODD, "rhs_eta")
+    def __init__(self, rhs_m: SymExpr, rhs_eta: SymExpr):
+        require_parity(rhs_m, EVEN, "rhs_m")
+        require_parity(rhs_eta, ODD, "rhs_eta")
+        self.rhs_m, self.rhs_eta = rhs_m, rhs_eta
 
     @functools.cached_property
     def _potentials(self) -> Tuple[SymExpr, SymExpr]:
@@ -584,18 +588,16 @@ class LaxBasisError(ValueError):
     """Reduction left a monomial outside the span of {G, DG, G_x}."""
 
 
-@dataclass(frozen=True)
 class LaxAnsatz:
     """Coefficient superfields of the sought linear-flow part G_t = A G + B DG + C G_x."""
 
-    a: SymExpr
-    b: SymExpr
-    c: SymExpr
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self):
-        require_parity(self.a, EVEN, "A")
-        require_parity(self.b, ODD, "B")
-        require_parity(self.c, EVEN, "C")
+    def __init__(self, a: SymExpr, b: SymExpr, c: SymExpr):
+        require_parity(a, EVEN, "A")
+        require_parity(b, ODD, "B")
+        require_parity(c, EVEN, "C")
+        self.a, self.b, self.c = a, b, c
 
 
 def closing_ansatz() -> LaxAnsatz:

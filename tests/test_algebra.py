@@ -149,6 +149,14 @@ def test_jets_are_interned():
         jet.dx = 2
     assert copy.deepcopy(jet) is jet
     assert pickle.loads(pickle.dumps(jet)) is jet
+    # symbols are values: equal by their fields, hashed as their field tuple, immutable
+    assert hash(u) == hash(("u", EVEN, False, False))
+    assert FieldSymbol("u", EVEN) == u and FieldSymbol("u", ODD) != u
+    with pytest.raises(AttributeError):
+        u.name = "v"
+    assert u.name == "u"
+    for clone in (copy.deepcopy(u), pickle.loads(pickle.dumps(u))):
+        assert clone == u and hash(clone) == hash(u)
 
 
 def test_copies_and_pickles_are_equal_and_canonical():

@@ -17,11 +17,11 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import asdict
 from pathlib import Path
 
 from superhs.calculus import dt, dx, first_variation, superD
 from superhs.density import canonical_density, euler_x, euler_xt, partial_jet
+from superhs.reporting import VerificationReport
 from superhs.sexpr import to_sexpr
 from superhs.structures import (
     SUITE_NAMES,
@@ -73,10 +73,9 @@ def _texts():
         texts[f"lax_compatibility({name})"] = "\n".join(
             f"{key} {to_sexpr(residuals[key])}" for key in sorted(residuals)
         )
-    for entry in run_suite(SUITE_NAMES):
-        fields = asdict(entry)
+    for fields in json.loads(VerificationReport(run_suite(SUITE_NAMES)).to_json())["entries"]:
         fields.pop("elapsed")
-        texts[f"verify {entry.check_id}"] = json.dumps(fields, sort_keys=True)
+        texts[f"verify {fields['check_id']}"] = json.dumps(fields, sort_keys=True)
     return texts
 
 

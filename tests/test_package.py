@@ -82,7 +82,9 @@ def test_verify_loads_no_numpy():
 
 
 def test_no_command_loads_openssl(tmp_path):
-    # hashlib maps OpenSSL's libcrypto through _hashlib; the config hash uses the builtin digest
+    # hashlib maps OpenSSL's libcrypto through _hashlib; the config hash uses the builtin digest.
+    # No command loads dataclasses, which imports inspect, ast, dis and tokenize; numpy
+    # itself imports inspect, so after simulate only dataclasses must stay out.
     (tmp_path / "cfg.json").write_text(
         '{"n_modes": 64, "dt": 0.002, "t_end": 0.02, "n_grassmann": 2, "sample_stride": 5,'
         ' "initial": {"u": [{"level": [], "cos": {"1": 1.0}}],'
@@ -94,12 +96,18 @@ def test_no_command_loads_openssl(tmp_path):
         "work = sys.argv[1]\n"
         "assert main(['verify', '--suite', 'bracket', '--out', work + '/r.json']) == 0\n"
         "assert main(['report', work + '/r.json']) == 0\n"
+        "loaded = {'dataclasses', 'inspect'} & set(sys.modules)\n"
+        "assert not loaded, f'verify or report loaded {sorted(loaded)}'\n"
         "assert main(['simulate', '--config', work + '/cfg.json', '--out-dir', work + '/out']) == 0\n"
-        "loaded = {'hashlib', '_hashlib'} & set(sys.modules)\n"
+        "loaded = {'hashlib', '_hashlib', 'dataclasses'} & set(sys.modules)\n"
         "assert not loaded, f'superhs loaded {sorted(loaded)}'\n"
-        # negative control: hashlib itself loads the OpenSSL binding
+        # negative controls: hashlib itself loads the OpenSSL binding, and dataclasses
+        # loads inspect (dropped first, since numpy has loaded it)
         "import hashlib\n"
         "assert '_hashlib' in sys.modules\n"
+        "sys.modules.pop('inspect', None)\n"
+        "import dataclasses\n"
+        "assert 'inspect' in sys.modules\n"
     )
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     run = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env={**os.environ, "PYTHONPATH": path},
