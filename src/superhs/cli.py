@@ -146,34 +146,32 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"error: cannot create output directory {args.out_dir}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     summary: dict = {"config": args.config, "n_grassmann": cfg.n_grassmann}
+    blowup = None
     try:
         # popped, so that evolve holds the only reference and frees the
         # initial state after its first step (on CPython 3.11 and later)
         traj = evolve(start.pop(), cfg)
     except BlowUpError as exc:
-        summary["status"] = "blowup"
-        summary["blowup_time"] = exc.time
-        summary["diagnostics"] = exc.diagnostics
-        try:
-            write_atomic(os.path.join(args.out_dir, "summary.json"), json.dumps(summary, indent=2))
-        except OSError as write_exc:
-            print(f"error: cannot write output in {args.out_dir}: {write_exc}", file=sys.stderr)
-            return EXIT_USAGE
-        print(f"simulation aborted: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
-    summary["status"] = "ok"
-    summary["final_time"] = traj.final.time
-    summary["conservation"] = _drift_summary(traj)
-    summary["max_abs_ux"] = max(s.max_abs_ux for s in traj.samples)
-    if traj.residual is not None:
-        summary["residual_check"] = traj.residual
+        blowup = exc
+        summary.update(status="blowup", blowup_time=exc.time, diagnostics=exc.diagnostics)
+    else:
+        summary["status"] = "ok"
+        summary["final_time"] = traj.final.time
+        summary["conservation"] = _drift_summary(traj)
+        summary["max_abs_ux"] = max(s.max_abs_ux for s in traj.samples)
+        if traj.residual is not None:
+            summary["residual_check"] = traj.residual
     try:
-        write_series_csv(os.path.join(args.out_dir, "series.csv"), traj)
-        write_state_csv(os.path.join(args.out_dir, "final_state.csv"), traj.final)
+        if blowup is None:
+            write_series_csv(os.path.join(args.out_dir, "series.csv"), traj)
+            write_state_csv(os.path.join(args.out_dir, "final_state.csv"), traj.final)
         write_atomic(os.path.join(args.out_dir, "summary.json"), json.dumps(summary, indent=2))
     except OSError as exc:
         print(f"error: cannot write output in {args.out_dir}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if blowup is not None:
+        print(f"simulation aborted: {blowup}", file=sys.stderr)
+        return EXIT_BLOWUP
     print(f"simulation complete at t = {traj.final.time:g}; outputs in {args.out_dir}")
     return EXIT_OK
 

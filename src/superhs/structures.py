@@ -1,13 +1,14 @@
 """The supersymmetric Hunter-Saxton system and its verification checks.
 
-Everything specific to the system lives here.  The superconformal bracket and
-the H^1-type inner product are the hand-written geometry; the bilinear operator
-B of the geodesic flow, the flow itself, the first Hamiltonian operator J1 and
-H1 are read off those two as variational derivatives (``_images``).  Beside
-them stand the second Hamiltonian operator and one check function per claimed
-identity (geodesic derivation, bi-Hamiltonian formulation, Lagrangian
-formulation, supersymmetry invariance, superspace form, Lax-pair
-compatibility, recursion-operator eigenrelations, conservation, and the Lie
+Everything specific to the system lives here.  The only hand-written geometry
+is in superspace: the bracket U*V_x - V*U_x + DU*DV/2 and the H^1 metric, the
+Berezin integral of U_x*DV, with U = u + theta*phi.  The component bracket and
+metric are read off them, expanded once per process into bilinear terms; B of
+the geodesic flow, the flow, the first Hamiltonian operator J1 and H1 are read
+off those two as variational derivatives (``_images``).  Beside them stand the
+second Hamiltonian operator and one check per claimed identity (geodesic
+derivation, bi-Hamiltonian and Lagrangian formulations, supersymmetry,
+superspace form, Lax pair, recursion eigenrelations, conservation and the Lie
 algebra axioms).  Conservation is decided by flux certificates, which
 ``density.reduce_mod_dx`` finds on the constrained jets of the flow; this
 module uses only the public names of ``density``.
@@ -38,6 +39,7 @@ from .algebra import (
     EVEN,
     ODD,
     FieldSymbol,
+    JetFactor,
     SymExpr,
     lam_power,
     require_parity,
@@ -88,7 +90,6 @@ P_VEL = FieldSymbol("p", EVEN)
 Q_VEL = FieldSymbol("q", ODD)
 # superspace fields
 SUPER_U = FieldSymbol("U", EVEN, superspace=True)
-SUPER_V = FieldSymbol("V", EVEN, superspace=True)
 SUPER_G = FieldSymbol("G", EVEN, superspace=True)
 SUPER_M = FieldSymbol("M", ODD, superspace=True)
 SUPER_A = FieldSymbol("A", EVEN, superspace=True)
@@ -122,13 +123,45 @@ class AlgebraElement:
         return self.even_part == other.even_part and self.odd_part == other.odd_part
 
 
+def superspace_bracket(a: SymExpr, b: SymExpr) -> SymExpr:
+    """The superconformal bracket of even superfields, A*B_x - B*A_x + DA*DB/2."""
+    return a * dx(b) - b * dx(a) + HALF * (superD(a) * superD(b))
+
+
+def berezin_metric(a: SymExpr, b: SymExpr) -> SymExpr:
+    """The H^1 metric density of even superfields: the Berezin integral of A_x*DB."""
+    return berezin(dx(a) * superD(b))
+
+
+# the generic pair x0 + theta*x1, y0 + theta*y1 of ``_geometry``: its fields meet no other
+# expression, and every x-jet sorts before every y-jet
+_PAIR = tuple(FieldSymbol(name, parity) for name, parity in (("x0", EVEN), ("x1", ODD), ("y0", EVEN), ("y1", ODD)))
+
+
+@functools.lru_cache(maxsize=None)
+def _geometry() -> Tuple[Tuple[Tuple[Fraction, JetFactor, JetFactor], ...], ...]:
+    """The bracket's even and odd parts and the metric at the generic pair, as terms c*f*g.
+
+    Expanded once per process, on first use; f is an x-jet and g a y-jet.
+    """
+    x0, x1, y0, y1 = (field() for field in _PAIR)
+    a, b = x0 + theta_factor() * x1, y0 + theta_factor() * y1
+    bracket = theta_expand(superspace_bracket(a, b))
+    forms = (bracket.body, bracket.soul, berezin_metric(a, b))
+    return tuple(tuple((c, f, g) for (_lam, (f, g)), c in e.terms()) for e in forms)
+
+
+def _read_off(tables, x: AlgebraElement, y: AlgebraElement) -> List[SymExpr]:
+    """The tables' forms at (x, y): a jet of the generic pair becomes that derivative of x's or y's part."""
+    parts = dict(zip(_PAIR, (x.even_part, x.odd_part, y.even_part, y.odd_part)))
+    needed = dict.fromkeys(f for table in tables for _c, *pair in table for f in pair)
+    jets = {f: jet_derivative(parts[f.symbol], 0, f.dx) for f in needed}
+    return [sum((c * (jets[f] * jets[g]) for c, f, g in table), SymExpr.zero()) for table in tables]
+
+
 def lie_bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """The superconformal bracket of contact vector fields on the supercircle."""
-    u, phi = x.even_part, x.odd_part
-    v, psi = y.even_part, y.odd_part
-    even = u * dx(v) - dx(u) * v + HALF * (phi * psi)
-    odd = u * dx(psi) - HALF * (dx(u) * psi) - dx(phi) * v + HALF * (phi * dx(v))
-    return AlgebraElement(even, odd)
+    """The superconformal bracket in components: the body and theta part of ``superspace_bracket``."""
+    return AlgebraElement(*_read_off(_geometry()[:2], x, y))
 
 
 def generic_elements() -> Tuple[AlgebraElement, AlgebraElement, AlgebraElement]:
@@ -137,17 +170,8 @@ def generic_elements() -> Tuple[AlgebraElement, AlgebraElement, AlgebraElement]:
 
 
 def inner_product(x: AlgebraElement, y: AlgebraElement) -> SymExpr:
-    """The homogeneous H^1 inner product, as the density u_x*v_x + phi_x*psi."""
-    u, phi = x.even_part, x.odd_part
-    v, psi = y.even_part, y.odd_part
-    return dx(u) * dx(v) + dx(phi) * psi
-
-
-def inner_product_operator_form(x: AlgebraElement, y: AlgebraElement) -> SymExpr:
-    """The same metric written through the operators (-d2/dx2, -d/dx)."""
-    u, phi = x.even_part, x.odd_part
-    v, psi = y.even_part, y.odd_part
-    return u * op_A0(v) + phi * op_A1(psi)
+    """The H^1 inner product in components, u_x*v_x + phi_x*psi: ``berezin_metric`` read off."""
+    return _read_off(_geometry()[2:], x, y)[0]
 
 
 # the fresh generic element z of ``_images``: no other field is named z0 or z1
@@ -351,9 +375,8 @@ def check_bracket(failures: Failures) -> None:
 
     ip = inner_product(xe, ye)
     _eq("inner product integrand", ip, U(dx=1) * V(dx=1) + PHI(dx=1) * PSI(), failures)
-    opform = inner_product_operator_form(xe, ye)
-    _exact("inner product operator form", ip - opform, failures)
-    _exact("inner product symmetry", inner_product(xe, ye) - inner_product(ye, xe), failures)
+    _exact("inner product operator form", ip - (U() * op_A0(V()) + PHI() * op_A1(PSI())), failures)
+    _exact("inner product symmetry", ip - inner_product(ye, xe), failures)
 
     p0, p1 = bilinear_B(xe, ye)
     _eq("image A0*B0 of B", p0, _EXPECTED_B[0], failures)
@@ -554,24 +577,6 @@ def check_superspace(failures: Failures) -> None:
     # M_t = -xi_txx - theta*u_txx, so body matches eta_t and soul matches m_t
     _eq("soul component reproduces the m equation", parts.soul, system.rhs_m, failures)
     _eq("body component reproduces the eta equation", parts.body, system.rhs_eta, failures)
-
-    # superfield bracket reduces to the component bracket
-    expand_uv = {SUPER_U.jet(): U() + theta_factor() * PHI(), SUPER_V.jet(): V() + theta_factor() * PSI()}
-    sf_bracket = (
-        SUPER_U() * SUPER_V(dx=1)
-        - SUPER_V() * SUPER_U(dx=1)
-        + HALF * (SUPER_U(dtheta=1) * SUPER_V(dtheta=1))
-    )
-    comp = theta_expand(substitute(sf_bracket, expand_uv))
-    xe, ye, _ = generic_elements()
-    pair = lie_bracket(xe, ye)
-    _eq("superfield bracket body", comp.body, pair.even_part, failures)
-    _eq("superfield bracket soul", comp.soul, pair.odd_part, failures)
-
-    # Berezin form of the metric reduces to the component integrand
-    metric_sf = SUPER_U(dx=1) * SUPER_V(dtheta=1)
-    metric_component = berezin(substitute(metric_sf, expand_uv))
-    _exact("Berezin metric reduces to the component metric", metric_component - inner_product(xe, ye), failures)
 
     # negative control: wrong coefficient on the last superspace term
     bad_rhs = substitute(
@@ -822,19 +827,10 @@ def check_conservation(failures: Failures) -> None:
 # Lie-superalgebra axioms: proven on generic elements
 
 
-def _jacobi_defect(
-    bracket: Callable[[AlgebraElement, AlgebraElement], AlgebraElement],
-    x: AlgebraElement,
-    y: AlgebraElement,
-    z: AlgebraElement,
-) -> AlgebraElement:
-    t1 = bracket(x, bracket(y, z))
-    t2 = bracket(y, bracket(z, x))
-    t3 = bracket(z, bracket(x, y))
-    return AlgebraElement(
-        t1.even_part + t2.even_part + t3.even_part,
-        t1.odd_part + t2.odd_part + t3.odd_part,
-    )
+def _jacobi_defect(bracket: Callable[[AlgebraElement, AlgebraElement], AlgebraElement],
+                   x: AlgebraElement, y: AlgebraElement, z: AlgebraElement) -> AlgebraElement:
+    t1, t2, t3 = (bracket(a, bracket(b, c)) for a, b, c in ((x, y, z), (y, z, x), (z, x, y)))
+    return AlgebraElement(t1.even_part + t2.even_part + t3.even_part, t1.odd_part + t2.odd_part + t3.odd_part)
 
 
 def _lie_axioms(case: str, x: AlgebraElement, y: AlgebraElement, z: AlgebraElement, failures: Failures):

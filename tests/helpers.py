@@ -2,8 +2,10 @@
 
 ``random_element`` draws the superconformal algebra elements whose triples
 cross-check the kernel against the generic Jacobi proof of ``check_jacobi``;
-``ref_bilinear_B`` and ``ref_apply_J1`` are the closed-form operators that
-``structures`` reads off the bracket and the metric.
+``ref_lie_bracket`` and ``ref_inner_product`` (with its operator form) are the
+component bracket and metric that ``structures`` reads off the superspace
+bracket and the Berezin metric, and ``ref_bilinear_B`` and ``ref_apply_J1`` the
+closed-form operators that it reads off those two.
 
 ``gmul`` is the reference Grassmann product and ``ref_gmul_stack`` the
 per-pair stack loop whose float results ``gmul_stack`` must reproduce exactly;
@@ -127,6 +129,26 @@ def _random_element_part(rng: random.Random, parity: int, n_terms: int = 2) -> S
 
 def random_element(rng: random.Random) -> AlgebraElement:
     return AlgebraElement(_random_element_part(rng, EVEN), _random_element_part(rng, ODD))
+
+
+def ref_lie_bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+    """The superconformal bracket, written in components."""
+    u, phi = x.even_part, x.odd_part
+    v, psi = y.even_part, y.odd_part
+    half = Fraction(1, 2)
+    even = u * dx(v) - dx(u) * v + half * (phi * psi)
+    odd = u * dx(psi) - half * (dx(u) * psi) - dx(phi) * v + half * (phi * dx(v))
+    return AlgebraElement(even, odd)
+
+
+def ref_inner_product(x: AlgebraElement, y: AlgebraElement) -> SymExpr:
+    """The H^1 density u_x*v_x + phi_x*psi, written in components."""
+    return dx(x.even_part) * dx(y.even_part) + dx(x.odd_part) * y.odd_part
+
+
+def ref_inner_product_operator_form(x: AlgebraElement, y: AlgebraElement) -> SymExpr:
+    """The same metric written through the operators (-d2/dx2, -d/dx)."""
+    return x.even_part * op_A0(y.even_part) + x.odd_part * op_A1(y.odd_part)
 
 
 def ref_bilinear_B(x: AlgebraElement, y: AlgebraElement) -> Tuple[SymExpr, SymExpr]:

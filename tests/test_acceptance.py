@@ -29,6 +29,7 @@ from superhs.structures import (
     U,
     XI,
     check_biham,
+    check_bracket,
     check_conservation,
     check_geodesic,
     check_jacobi,
@@ -92,6 +93,9 @@ def test_criterion_03_susy_invariance():
 def test_criterion_04_superspace_equivalence():
     with criterion(4, "superspace equation and Berezin bracket/metric reduce to components exactly"):
         result = check_superspace()
+        assert result.passed, result.detail
+        # the component bracket and metric are read off superspace; check_bracket pins their printed forms
+        result = check_bracket()
         assert result.passed, result.detail
 
 

@@ -7,11 +7,20 @@ from fractions import Fraction
 import pytest
 
 from superhs.algebra import EVEN, ODD, FieldSymbol, ParityError, SymExpr, lam_power, theta_factor
-from superhs.calculus import dt, dx, first_variation, substitute, theta_expand
+from superhs.calculus import dt, dx, first_variation, substitute, superD, theta_expand
 from superhs import cli, density, structures
 from superhs.density import equals_mod_dx, euler_xt, integrate_x, is_total_x_derivative, reduce_mod_dx
 from superhs.sexpr import to_sexpr
-from helpers import random_element, random_x_poly, ref_apply_J1, ref_bilinear_B, sampled_lie_failures
+from helpers import (
+    random_element,
+    random_x_poly,
+    ref_apply_J1,
+    ref_bilinear_B,
+    ref_inner_product,
+    ref_inner_product_operator_form,
+    ref_lie_bracket,
+    sampled_lie_failures,
+)
 from superhs.structures import (
     CHI,
     PHI,
@@ -38,7 +47,6 @@ from superhs.structures import (
     geodesic_system,
     hamiltonian_densities,
     inner_product,
-    inner_product_operator_form,
     lax_compatibility,
     lie_bracket,
     closing_ansatz,
@@ -99,7 +107,7 @@ def test_inner_product_operator_form_equivalent():
     x = AlgebraElement(U(), PHI())
     y = AlgebraElement(V(), PSI())
     assert equals_mod_dx(
-        inner_product(x, y), inner_product_operator_form(x, y)
+        inner_product(x, y), ref_inner_product_operator_form(x, y)
     )
 
 
@@ -128,6 +136,30 @@ def test_bilinear_defining_property_symbolic():
     lhs = inner_product(x, lie_bracket(y, z))
     p0, p1 = bilinear_B(x, y)
     assert is_total_x_derivative(lhs - (p0 * W() - p1 * CHI()))
+
+
+def test_component_geometry_is_read_off_superspace(fresh_flow_memo, monkeypatch):
+    # lie_bracket and inner_product equal the component formulas term for term
+    x, y, z = generic_elements()
+    flow = structures._FLOW
+    rng = random.Random(11)
+    pairs = [(x, y), (flow, flow), (y, z)] + [(random_element(rng), random_element(rng)) for _ in range(20)]
+    for a, b in pairs:
+        assert lie_bracket(a, b) == ref_lie_bracket(a, b)
+        assert inner_product(a, b) == ref_inner_product(a, b)
+    assert check_jacobi().passed
+
+    # negative control: with the 1/2 on DU*DV set to 1, the generic bracket differs and Jacobi fails
+    def unit_weight(a, b):
+        return a * dx(b) - b * dx(a) + superD(a) * superD(b)
+
+    monkeypatch.setattr(structures, "superspace_bracket", unit_weight)
+    structures._geometry.cache_clear()
+    bad = lie_bracket(x, y)
+    assert bad.even_part != ref_lie_bracket(x, y).even_part
+    assert bad.odd_part != ref_lie_bracket(x, y).odd_part
+    assert inner_product(x, y) == ref_inner_product(x, y)
+    assert not check_jacobi().passed
 
 
 def test_derived_operators_equal_the_closed_forms():
@@ -663,9 +695,12 @@ def test_generic_proof_agrees_with_sampled_triples(monkeypatch, odd_weight, phi_
 
 @pytest.fixture
 def fresh_flow_memo():
-    # geodesic_system() calls lie_bracket: a flow memoized under a patched bracket must not outlive the patch
+    # geodesic_system() calls lie_bracket, which reads the superspace bracket's expansion from
+    # its own memo: neither a flow nor an expansion memoized under a patch may outlive it
+    structures._geometry.cache_clear()
     geodesic_system.cache_clear()
     yield
+    structures._geometry.cache_clear()
     geodesic_system.cache_clear()
 
 
