@@ -1,17 +1,21 @@
 """The supersymmetric Hunter-Saxton system and its verification checks.
 
-Everything specific to the system lives here.  The only hand-written geometry
-is in superspace: the bracket U*V_x - V*U_x + DU*DV/2 and the H^1 metric, the
-Berezin integral of U_x*DV, with U = u + theta*phi.  The component bracket and
-metric are read off them, expanded once per process into bilinear terms; B of
-the geodesic flow, the flow, the first Hamiltonian operator J1 and H1 are read
-off those two as variational derivatives (``_images``).  Beside them stand the
-second Hamiltonian operator and one check per claimed identity (geodesic
-derivation, bi-Hamiltonian and Lagrangian formulations, supersymmetry,
-superspace form, Lax pair, recursion eigenrelations, conservation and the Lie
-algebra axioms).  Conservation is decided by flux certificates, which
-``density.reduce_mod_dx`` finds on the constrained jets of the flow; this
-module uses only the public names of ``density``.
+Everything specific to the system lives here.  The hand-written geometry is
+in superspace, with U = u + theta*phi: the bracket U*V_x - V*U_x + DU*DV/2, the
+H^1 metric (the Berezin integral of U_x*DV) with its operator A = -D^3, which
+gives the momentum M = A(U), and the coadjoint action ad*_F M = F*M_x +
+3/2*F_x*M + DF*DM/2; ``check_superspace`` pins A and ad* to the metric and the
+bracket.  The superspace flow is M_t = -ad*_U M, K1 is -ad*_(.) M and J2 is
+-d/dx o A on A's component legs ``op_A0`` and ``op_A1``.  The component
+bracket and metric are read off the superspace ones, expanded once per process
+into bilinear terms; B of the geodesic flow, the flow, J1 and H1 are read off
+those two as variational derivatives (``_images``).  Beside them stands one
+check per claimed identity (geodesic derivation, bi-Hamiltonian and Lagrangian
+formulations, supersymmetry, superspace form, Lax pair, recursion
+eigenrelations, conservation and the Lie algebra axioms).  Conservation is
+decided by flux certificates, which ``density.reduce_mod_dx`` finds on the
+constrained jets of the flow; this module uses only the public names of
+``density``.
 
 Every check recomputes its identity from first principles at call time and
 carries a deliberately perturbed negative control, guarding against an engine
@@ -131,6 +135,16 @@ def superspace_bracket(a: SymExpr, b: SymExpr) -> SymExpr:
 def berezin_metric(a: SymExpr, b: SymExpr) -> SymExpr:
     """The H^1 metric density of even superfields: the Berezin integral of A_x*DB."""
     return berezin(dx(a) * superD(b))
+
+
+def momentum(a: SymExpr) -> SymExpr:
+    """The metric's operator -D^3 on an even superfield: the momentum M = -D^3 U."""
+    return -superD(superD(superD(a)))
+
+
+def coadjoint(f: SymExpr, m: SymExpr) -> SymExpr:
+    """The coadjoint action of an even F on an odd M, ad*_F M = F*M_x + 3/2*F_x*M + DF*DM/2."""
+    return f * dx(m) + Fraction(3, 2) * (dx(f) * m) + HALF * (superD(f) * superD(m))
 
 
 # the generic pair x0 + theta*x1, y0 + theta*y1 of ``_geometry``: its fields meet no other
@@ -275,10 +289,10 @@ def apply_J1(p_m: SymExpr, p_eta: SymExpr) -> Tuple[SymExpr, SymExpr]:
 
 
 def apply_J2(p_m: SymExpr, p_eta: SymExpr) -> Tuple[SymExpr, SymExpr]:
-    """Second Hamiltonian operator: diag(d3/dx3, d2/dx2)."""
+    """Second Hamiltonian operator J2 = -d/dx o A, that is diag(d3/dx3, d2/dx2)."""
     require_parity(p_m, EVEN, "first gradient component")
     require_parity(p_eta, ODD, "second gradient component")
-    return dx(dx(dx(p_m))), dx(dx(p_eta))
+    return -dx(op_A0(p_m)), -dx(op_A1(p_eta))
 
 
 # ---------------------------------------------------------------------------
@@ -474,13 +488,8 @@ def check_biham(failures: Failures) -> None:
 
 
 def action_density() -> SymExpr:
-    """Integrand of the space-time action whose critical points are the flow."""
-    return (
-        U(dt=1) * U(dx=1)
-        - XI(dt=1) * XI(dx=2)
-        + U() * U(dx=1) ** 2
-        - U() * XI(dx=1) * XI(dx=2)
-    )
+    """Integrand u_t*u_x - xi_t*xi_xx + 2*H2 of the space-time action whose critical points are the flow."""
+    return U(dt=1) * U(dx=1) - XI(dt=1) * XI(dx=2) + 2 * hamiltonian_densities()[1]
 
 
 @_check("lagrangian")
@@ -543,13 +552,8 @@ def check_susy(failures: Failures) -> None:
 
 
 def superspace_rhs() -> SymExpr:
-    """Right-hand side of the superspace evolution of M = -D^3 U."""
-    Uj = SUPER_U
-    return (
-        Uj() * Uj(dx=2, dtheta=1)
-        + HALF * (Uj(dtheta=1) * Uj(dx=2))
-        + Fraction(3, 2) * (Uj(dx=1) * Uj(dx=1, dtheta=1))
-    )
+    """Right-hand side of the superspace flow M_t = -ad*_U M, at the momentum M = -D^3 U."""
+    return -coadjoint(SUPER_U(), momentum(SUPER_U()))
 
 
 def superfield_u_components() -> SymExpr:
@@ -559,14 +563,26 @@ def superfield_u_components() -> SymExpr:
 
 @_check("superspace")
 def check_superspace(failures: Failures) -> None:
-    """Theta-expansion of the superspace equation gives back the component system."""
+    """The superspace flow M_t = -ad*_U M, with M = -D^3 U, expands to the component system.
+
+    Exact Berezin pairings pin ad* to the bracket and -D^3 to the metric: at F = u + theta*phi,
+    Z = v + theta*psi and odd M = chi + theta*w, Ber(M*[F, Z]) + Ber(ad*_F M * Z) and
+    Ber(F_x*DZ) + Ber(D^3 F * Z) are exact.
+    """
     system = geodesic_system()
 
-    expand_u = {SUPER_U.jet(): superfield_u_components()}
-    rhs = substitute(superspace_rhs(), expand_u)
-    parts = theta_expand(rhs)
+    f, z = (x.even_part + theta_factor() * x.odd_part for x in generic_elements()[:2])
+    m = CHI() + theta_factor() * W()
+    pairing = berezin(m * superspace_bracket(f, z))
+    _exact("ad*_F M pairs with Z as -M with [F, Z]", pairing + berezin(coadjoint(f, m) * z), failures)
+    _exact("the metric pairs F with Z as -D^3 F", berezin_metric(f, z) - berezin(momentum(f) * z), failures)
+    flipped = coadjoint(f, m) - superD(f) * superD(m)  # -DF*DM/2
+    _nonzero("ad* with -DF*DM/2 breaks the pairing", canonical_density(pairing + berezin(flipped * z)), failures)
 
-    m_superfield = substitute(-SUPER_U(dx=1, dtheta=1), expand_u)
+    expand_u = {SUPER_U.jet(): superfield_u_components()}
+    parts = theta_expand(substitute(superspace_rhs(), expand_u))
+
+    m_superfield = substitute(momentum(SUPER_U()), expand_u)
     _eq(
         "M = -phi_x + theta*m with phi = xi_x",
         m_superfield,
@@ -697,7 +713,7 @@ def check_lax(failures: Failures) -> None:
     # expanding M = -D^3 U everywhere except the formal M_t jet
     eq_g = 2 * lam_power(1) * closed["G"]  # = M_t - E(M, U)
     e_part = -(eq_g - SUPER_M(dt=1))  # E(M, U)
-    expand_m = {SUPER_M.jet(): -SUPER_U(dx=1, dtheta=1)}
+    expand_m = {SUPER_M.jet(): momentum(SUPER_U())}
     _eq(
         "G equation is the superspace evolution",
         substitute(e_part, expand_m),
@@ -743,7 +759,7 @@ def check_lax(failures: Failures) -> None:
 
 @_check("recursion")
 def check_recursion(failures: Failures) -> None:
-    """Recursion-operator eigenrelations on squared eigenfunctions, inverse-free."""
+    """Recursion-operator eigenrelations on squared eigenfunctions, inverse-free; K1 = -ad*_(.) M."""
     # bosonic: with psi_xx = m psi/(2 lam), (m d/dx + d/dx m)(psi^2) = lam d3/dx3(psi^2)
     mb = FieldSymbol("mfield", EVEN)
     psi_b = FieldSymbol("psib", EVEN)
@@ -756,24 +772,14 @@ def check_recursion(failures: Failures) -> None:
     bad_rule = {psi_b.jet(dx=2): lam_power(-1) * (mb() * psi_b())}
     _nonzero("wrong-factor bosonic control", substitute(lhs - rhs, bad_rule), failures)
 
-    # super: with D^3 G = M G/(2 lam), -K1(G^2) = lam D^5(G^2)
-    def k1(arg: SymExpr) -> SymExpr:
-        return -HALF * (
-            SUPER_M() * dx(arg) + 2 * dx(SUPER_M() * arg) + SUPER_M(dtheta=1) * superD(arg)
-        )
-
+    # super: with D^3 G = M G/(2 lam), -K1(G^2) = ad*_(G^2) M = lam D^5(G^2)
     gsq = SUPER_G() ** 2
-    d5 = jet_derivative(gsq, 0, 5, superspace=True)
+    eigen = coadjoint(gsq, SUPER_M()) - lam_power(1) * jet_derivative(gsq, 0, 5, superspace=True)
     super_rule = {SUPER_G.jet(dx=1, dtheta=1): HALF * lam_power(-1) * (SUPER_M() * SUPER_G())}
-    super_residual = substitute(-k1(gsq) - lam_power(1) * d5, super_rule)
-    _zero("super eigenrelation", super_residual, failures)
+    _zero("super eigenrelation", substitute(eigen, super_rule), failures)
 
     bad_super = {SUPER_G.jet(dx=1, dtheta=1): lam_power(-1) * (SUPER_M() * SUPER_G())}
-    _nonzero(
-        "wrong-factor super control",
-        substitute(-k1(gsq) - lam_power(1) * d5, bad_super),
-        failures,
-    )
+    _nonzero("wrong-factor super control", substitute(eigen, bad_super), failures)
 
 
 # ---------------------------------------------------------------------------

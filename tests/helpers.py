@@ -5,7 +5,9 @@ cross-check the kernel against the generic Jacobi proof of ``check_jacobi``;
 ``ref_lie_bracket`` and ``ref_inner_product`` (with its operator form) are the
 component bracket and metric that ``structures`` reads off the superspace
 bracket and the Berezin metric, and ``ref_bilinear_B`` and ``ref_apply_J1`` the
-closed-form operators that it reads off those two.
+closed-form operators that it reads off those two; ``ref_superspace_rhs`` and
+``ref_k1`` are the superspace flow and the recursion operator's K1 written out
+term by term, which ``structures`` writes through its one coadjoint action.
 
 ``gmul`` is the reference Grassmann product and ``ref_gmul_stack`` the
 per-pair stack loop whose float results ``gmul_stack`` must reproduce exactly;
@@ -28,12 +30,12 @@ from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from superhs.algebra import EVEN, ODD, THETA, FieldSymbol, JetFactor, SymExpr, _accumulate, _sort_factors
-from superhs.calculus import dx
+from superhs.calculus import dx, superD
 from superhs.density import _Tag, _reduce_against, euler_x
 from superhs.grassmann import even_masks, mask_row, merge_sign, odd_masks
 from superhs.numerics import grid, mask_label
 from superhs import structures
-from superhs.structures import CHI, PSI, W, AlgebraElement, op_A0, op_A1
+from superhs.structures import CHI, PSI, SUPER_M, SUPER_U, W, AlgebraElement, op_A0, op_A1
 
 U = FieldSymbol("u", EVEN)
 V = FieldSymbol("v", EVEN)
@@ -175,6 +177,23 @@ def ref_apply_J1(p_m: SymExpr, p_eta: SymExpr) -> Tuple[SymExpr, SymExpr]:
     row1 = -(dx(m * p_m) + m * dx(p_m)) + half * dx(eta * p_eta) + eta * dx(p_eta)
     row2 = -dx(eta * p_m) - half * (eta * dx(p_m)) - half * (m * p_eta)
     return row1, row2
+
+
+def ref_superspace_rhs() -> SymExpr:
+    """Right-hand side of the superspace evolution of M = -D^3 U, term by term."""
+    Uj = SUPER_U
+    return (
+        Uj() * Uj(dx=2, dtheta=1)
+        + Fraction(1, 2) * (Uj(dtheta=1) * Uj(dx=2))
+        + Fraction(3, 2) * (Uj(dx=1) * Uj(dx=1, dtheta=1))
+    )
+
+
+def ref_k1(arg: SymExpr) -> SymExpr:
+    """The recursion operator's K1 at the odd superfield M, applied to an even superfield."""
+    return -Fraction(1, 2) * (
+        SUPER_M() * dx(arg) + 2 * dx(SUPER_M() * arg) + SUPER_M(dtheta=1) * superD(arg)
+    )
 
 
 def sampled_lie_failures(n_cases: int, seed: int) -> list:

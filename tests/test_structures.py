@@ -18,7 +18,9 @@ from helpers import (
     ref_bilinear_B,
     ref_inner_product,
     ref_inner_product_operator_form,
+    ref_k1,
     ref_lie_bracket,
+    ref_superspace_rhs,
     sampled_lie_failures,
 )
 from superhs.structures import (
@@ -40,6 +42,7 @@ from superhs.structures import (
     action_density,
     apply_J1,
     apply_J2,
+    berezin_metric,
     bilinear_B,
     check_jacobi,
     conservation_check,
@@ -50,6 +53,7 @@ from superhs.structures import (
     lax_compatibility,
     lie_bracket,
     closing_ansatz,
+    coadjoint,
     generic_elements,
     run_suite,
     SUITE_NAMES,
@@ -336,6 +340,23 @@ def test_apply_J2_is_diagonal_derivatives():
     assert r2 == XI(dx=2)
 
 
+def test_J2_is_the_operator_of_the_Berezin_cocycle():
+    # omega(X, Y) = <X_x, Y> is the Berezin integral of U_xx*DV, and J2 is read off it
+    # as J1 is read off the bracket
+    def omega(x, y):
+        return inner_product(AlgebraElement(dx(x.even_part), dx(x.odd_part)), y)
+
+    x, y, _ = generic_elements()
+    f, g = (e.even_part + theta_factor() * e.odd_part for e in (x, y))
+    assert omega(x, y) == berezin_metric(dx(f), g)
+    for y in (AlgebraElement(V(), PSI()), AlgebraElement(U(), XI(dx=1))):
+        j2 = apply_J2(y.even_part, y.odd_part)
+        assert structures._images(lambda z: omega(z, y)) == j2
+        # controls: the reversed order gives -J2, and the metric itself (k = 1) is not J2
+        assert structures._images(lambda z: omega(y, z)) == tuple(-r for r in j2)
+        assert structures._images(lambda z: inner_product(z, y)) != j2
+
+
 def test_J_operators_reject_wrong_parity():
     with pytest.raises(ParityError):
         apply_J1(XI(), XI())
@@ -364,6 +385,43 @@ def test_superfield_m_expansion():
     expand = {SUPER_U.jet(): superfield_u_components()}
     m_exp = substitute(-SUPER_U(dx=1, dtheta=1), expand)
     assert m_exp == -XI(dx=2) - theta_factor() * U(dx=2)
+
+
+def test_superspace_flow_and_K1_are_the_one_coadjoint_action(monkeypatch):
+    # the flow is -ad*_U M at M = -D^3 U and K1 is -ad*_(.) M, term for term the old formulas
+    assert superspace_rhs() == ref_superspace_rhs()
+    assert superspace_rhs() == -coadjoint(SUPER_U(), -SUPER_U(dx=1, dtheta=1))
+    for f in (SUPER_G(), SUPER_G() ** 2):
+        assert -coadjoint(f, SUPER_M()) == ref_k1(f)
+    assert all(result.passed for result in run_suite(SUITE_NAMES))
+
+    # negative control: with -DF*DM/2 the flow, the Lax G equation and the eigenrelation fail
+    def flipped(f, m):
+        return f * dx(m) + Fraction(3, 2) * (dx(f) * m) - HALF * (superD(f) * superD(m))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(structures, "coadjoint", flipped)
+        assert superspace_rhs() != ref_superspace_rhs()
+        assert -structures.coadjoint(SUPER_G() ** 2, SUPER_M()) != ref_k1(SUPER_G() ** 2)
+        results = {result.check_id: result for result in run_suite(SUITE_NAMES)}
+    assert [name for name, result in results.items() if not result.passed] == ["superspace", "lax", "recursion"]
+    assert "ad*_F M pairs with Z as -M with [F, Z]" in results["superspace"].detail.split("; ")
+    assert all(result.passed for result in run_suite(SUITE_NAMES))
+
+
+def test_superspace_pairings_pin_the_momentum(monkeypatch):
+    # M = +D^3 U breaks the metric pairing, whatever else it leaves consistent
+    with monkeypatch.context() as patch:
+        patch.setattr(structures, "momentum", lambda a: superD(superD(superD(a))))
+        result = structures.check_superspace()
+    assert not result.passed
+    assert "the metric pairs F with Z as -D^3 F" in result.detail.split("; ")
+    assert structures.check_superspace().passed
+
+
+def test_action_density_is_the_kinetic_terms_plus_twice_H2():
+    old = U(dt=1) * U(dx=1) - XI(dt=1) * XI(dx=2) + U() * U(dx=1) ** 2 - U() * XI(dx=1) * XI(dx=2)
+    assert action_density() == old
 
 
 # ---------------------------------------------------------------------------
