@@ -209,8 +209,8 @@ def _accumulate(pairs: Iterable[Tuple[Hashable, ScalarLike]], acc: Optional[dict
     The one normalise-and-accumulate loop of the symbolic kernel: equal keys
     merge and a key whose sum cancels to zero is removed, so no zero
     coefficient is ever stored.  Keys must already be canonical.  The kernel
-    sums integer numerators with it; the exact eliminator of ``density``,
-    rational rows.
+    sums integer numerators with it; the rewriting loop of ``density``,
+    rational rows and witnesses.
     """
     if acc is None:
         acc = {}

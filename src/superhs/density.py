@@ -16,10 +16,14 @@ undetermined-coefficient method of Goktas & Hereman (J. Symb. Comput. 24,
 by the ``dx`` image of the monomial one x-derivative below it when it leads
 that image, and kept otherwise, so only the images the target reaches are
 built.  Those monomials make the witness F with ``target == dx(F) +
-residual``.  ``canonical_density`` is the residual (``u*u_xx`` goes to
-``-u_x**2``), ``is_total_x_derivative`` an empty residual (the kernel of the
-Euler operator is the image of ``dx``; Olver, ch. 4-5), ``integrate_x`` the
-witness, which gives the solver its once-integrated potentials, and
+residual``.  One loop, ``_rewrite``, does all of it: this triangular pass,
+and under substitution rules the lead table of the pure-velocity images and
+the residual's reduction by that table; there is no Gaussian elimination.
+
+``canonical_density`` is the residual (``u*u_xx`` goes to ``-u_x**2``),
+``is_total_x_derivative`` an empty residual (the kernel of the Euler operator
+is the image of ``dx``; Olver, ch. 4-5), ``integrate_x`` the witness, which
+gives the solver its once-integrated potentials, and
 ``structures.conservation_check`` an empty residual on the constrained jets of
 the flow, whose witness is the flux.
 
@@ -123,61 +127,54 @@ def _elimination_key(key: TermKey):
     )
 
 
-class _Tag:
-    """Witness column of an image row: the monomials whose images the row sums; equal only to itself."""
+def _rewrite(vec: Mapping, key: Callable, rule: Callable, droppable: Optional[Callable] = None) -> Tuple[dict, dict]:
+    """The one rewriting loop: ``(residual, witness)`` of ``vec`` reduced by leading terms.
 
-    __slots__ = ("witness",)
-
-    def __init__(self, witness: Dict[TermKey, Fraction]):
-        self.witness = witness
-
-
-def _reduce_against(
-    target: Dict[TermKey, Fraction], generators: List[Dict[TermKey, Fraction]]
-) -> Dict[TermKey, Fraction]:
-    """Reduce a coefficient vector modulo the span of the generators.
-
-    Each column's pivot is the first unused row, in generator order, with a
-    nonzero entry there; that row is eliminated from every other unused row.
-    ``_Tag`` entries ride along in every row operation but are never pivots,
-    so on the result they hold minus the weight with which each tagged
-    generator was taken off the target.
+    Terms are taken largest by ``key`` first.  ``rule(t)`` gives ``None`` or a
+    ``(row, row_witness)`` pair led by t; the multiple of the row that cancels
+    t is subtracted and that multiple of its witness added.  A row's other
+    terms are smaller than t, so no term comes back once taken; terms are
+    placed by a total order, never by a set's.  A term no rule takes goes to
+    the residual unless ``droppable`` accepts it.  ``vec`` is not changed.
     """
-    pivots: Dict[TermKey, Dict[TermKey, Fraction]] = {}
-    rows = [dict(g) for g in generators if g]
-    # column -> indices of the unused rows with a nonzero entry in it, so a
-    # column costs the rows that hold it, not a scan of every row
-    holders: Dict[TermKey, set] = {}
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            if v and not isinstance(c, _Tag):  # so a tag never becomes a column
-                holders.setdefault(c, set()).add(i)
-    columns = sorted(set(holders) | set(target), key=_elimination_key, reverse=True)
-    for col in columns:
-        if not holders.get(col):
+    vec = dict(vec)
+    pending = sorted((key(k), k) for k in vec)
+    queued, residual, witness = set(vec), {}, {}
+    while pending:
+        t = pending.pop()[1]
+        coeff = vec.get(t)
+        hit = rule(t) if coeff else None
+        if hit is None:
+            if coeff and not (droppable and droppable(t)):
+                residual[t] = coeff
             continue
-        pivot = min(holders[col])
-        pivot_row = rows[pivot]
-        for c in pivot_row:
-            holders.get(c, set()).discard(pivot)
-        inv = Fraction(1) / pivot_row[col]
-        pivot_row = {c: v * inv for c, v in pivot_row.items()}
-        for i in list(holders[col]):
-            row = rows[i]
-            factor = row[col]
-            _accumulate(((c, -factor * v) for c, v in pivot_row.items()), row)
-            for c in pivot_row:
-                if row.get(c):
-                    holders.setdefault(c, set()).add(i)
-                else:
-                    holders.get(c, set()).discard(i)
-        pivots[col] = pivot_row
-    vec = dict(target)
-    for col in columns:
-        coeff = vec.get(col)
-        if coeff and col in pivots:
-            _accumulate(((c, -coeff * v) for c, v in pivots[col].items()), vec)
-    return vec
+        row, row_witness = hit
+        scale = coeff / row[t]
+        _accumulate(((k, scale * w) for k, w in row_witness.items()), witness)
+        _accumulate(((k, -scale * n) for k, n in row.items()), vec)
+        for k in row:
+            if k not in queued:
+                queued.add(k)
+                insort(pending, (key(k), k))
+    return residual, witness
+
+
+def _reduce_by_leads(target: Mapping, rows: List[Tuple[Mapping, Mapping]]) -> Tuple[dict, dict]:
+    """``target`` reduced modulo the span of ``rows``, each a ``(row, row_witness)`` pair.
+
+    Each row in turn is rewritten by the lead table built so far and, if
+    anything is left, filed under its largest term by ``_elimination_key``,
+    its witness less the witness taken.  The target is then rewritten by that
+    table.  Its residual holds no lead of the span, so under a fixed term order
+    it is the one normal form.
+    """
+    table: Dict = {}
+    for row, row_witness in rows:
+        rest, taken = _rewrite(row, _elimination_key, table.get)
+        if rest:
+            lead = max(rest, key=_elimination_key)
+            table[lead] = rest, _accumulate(((k, -w) for k, w in taken.items()), dict(row_witness))
+    return _rewrite(target, _elimination_key, table.get)
 
 
 class RuleSet(Mapping[JetFactor, SymExpr]):
@@ -227,8 +224,9 @@ def reduce_mod_dx(
     and constant jets) are not: if a residual is left, those of velocity
     degree 1 to d + 1 with at most c constant factors, d and c the residual's
     largest, over the constant jets of the residual and the rules' right
-    sides, are rewritten too, and one ``_reduce_against`` call reduces the
-    residual against them.  So ``target == dx(F)`` (under ``rules``) plus
+    sides, are rewritten too and filed by their leads under
+    ``_elimination_key``, and the residual is rewritten by that table
+    (``_reduce_by_leads``).  So ``target == dx(F)`` (under ``rules``) plus
     droppable terms plus the residual.  A superspace jet raises
     ``ValueError``.  A ``RuleSet`` caches the images and the reduced
     pure-velocity rows; other ``rules`` get a cache for this call only.
@@ -258,31 +256,12 @@ def reduce_mod_dx(
             cache[m] = (max(img._terms, key=order, default=None), img)
         return cache[m]
 
-    def normal_form(e: SymExpr) -> Tuple[Dict[TermKey, Fraction], Dict[TermKey, Fraction]]:
-        # a subtracted image's other terms are smaller than t, so no term comes
-        # back once taken; terms are placed by a total order, never by a set's
-        vec = _coefficient_vector(e)
-        pending = sorted((order(k), k) for k in vec)
-        queued, residual, witness = set(vec), {}, {}
-        while pending:
-            t = pending.pop()[1]
-            coeff = vec.get(t)
-            m = lower(t) if coeff else None
-            lead, img = image(m) if m else (None, None)
-            if lead != t:
-                if coeff and not (droppable and droppable(t)):
-                    residual[t] = coeff
-                continue
-            scale = coeff / img._terms[t]
-            witness[m] = scale * img._den
-            _accumulate(((k, -scale * n) for k, n in img._terms.items()), vec)
-            for k in img._terms:
-                if k not in queued:
-                    queued.add(k)
-                    insort(pending, (order(k), k))
-        return residual, witness
+    def triangular(t: TermKey):
+        m = lower(t)
+        lead, img = image(m) if m else (None, None)
+        return (img._terms, {m: img._den}) if lead == t else None
 
-    residual, witness = normal_form(target)
+    residual, witness = _rewrite(_coefficient_vector(target), order, triangular, droppable)
     if residual and velocity:
         jets = {f for _lam, fs in chain(residual, *(rhs._terms for rhs in rules.values())) for f in fs}
         constants = sorted((f for f in jets if f.symbol.constant), key=lambda f: f.sort_key)
@@ -302,14 +281,12 @@ def reduce_mod_dx(
             if sorted_ is not None:
                 m = (lam, sorted_[1])
                 if (m, droppable) not in row_cache:
-                    row_cache[m, droppable] = normal_form(image(m)[1])
+                    img = _coefficient_vector(image(m)[1])
+                    row_cache[m, droppable] = _rewrite(img, order, triangular, droppable)
                 row, row_witness = row_cache[m, droppable]
-                row = {**row, _Tag({m: Fraction(1), **{k: -v for k, v in row_witness.items()}}): Fraction(1)}
-                rows.append(row)
-        reduced = _reduce_against(residual, rows)
-        residual = {k: v for k, v in reduced.items() if not isinstance(k, _Tag)}
-        tags = ((tag, v) for tag, v in reduced.items() if isinstance(tag, _Tag))
-        _accumulate(((k, -v * w) for tag, v in tags for k, w in tag.witness.items()), witness)
+                rows.append((row, _accumulate(((k, -w) for k, w in row_witness.items()), {m: Fraction(1)})))
+        residual, taken = _reduce_by_leads(residual, rows)
+        _accumulate(taken.items(), witness)
     return residual, SymExpr(witness)
 
 

@@ -455,6 +455,15 @@ def check_biham(failures: Failures) -> None:
     _, bad_r2 = _images(lambda z: inner_product(_FLOW, _bad_bracket(y, z)))
     _nonzero("J1 read off a perturbed bracket differs", bad_r2 - want2, failures)
 
+    # J2 at (v, psi) is diag(d3, d2), the operator of the cocycle
+    # omega(X, Y) = <X_x, Y> in its first slot; read off omega(Y, .) it is -J2
+    j2_r1, j2_r2 = apply_J2(y.even_part, y.odd_part)
+    _eq("J2 row 1 at (v, psi)", j2_r1, V(dx=3), failures)
+    _eq("J2 row 2 at (v, psi)", j2_r2, PSI(dx=2), failures)
+    y_x = AlgebraElement(dx(y.even_part), dx(y.odd_part))
+    reversed_r1, _ = _images(lambda z: inner_product(y_x, z))
+    _nonzero("J2 read off the reversed cocycle differs", reversed_r1 - V(dx=3), failures)
+
     # second structure: J2 composed with the inverse metric collapses to
     # (-d/dx, -1) acting on the (u, xi) gradients of H2
     grad_u = variational_derivative(h2, U)

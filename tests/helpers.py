@@ -15,11 +15,12 @@ per-pair stack loop whose float results ``gmul_stack`` must reproduce exactly;
 ``ref_spectral_antiderivative`` the mask-and-divide spectral helpers,
 ``ref_state_csv`` the state table as one joined text,
 ``ref_is_total_x_derivative`` the reference exactness criterion, and
-``ref_window_system``, ``ref_split`` and ``ref_reduce_mod_dx`` the rule-free
-reduction by one elimination over whole windows.  The other ``ref_*``
-functions are the reference for the symbolic kernel: an expression is a dict
-``{(lam, factors): Fraction}`` with sorted factors and no zero coefficient,
-and every operation is a plain loop on ``Fraction`` values.
+``ref_window_system``, ``ref_scan_reduce``, ``ref_split`` and
+``ref_reduce_mod_dx`` the rule-free reduction by one Gaussian elimination over
+whole windows.  The other ``ref_*`` functions are the reference for the
+symbolic kernel: an expression is a dict ``{(lam, factors): Fraction}`` with
+sorted factors and no zero coefficient, and every operation is a plain loop on
+``Fraction`` values.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from superhs.algebra import EVEN, ODD, THETA, FieldSymbol, JetFactor, SymExpr, _accumulate, _sort_factors
 from superhs.calculus import dx, superD
-from superhs.density import _Tag, _reduce_against, euler_x
+from superhs.density import _elimination_key, euler_x
 from superhs.grassmann import even_masks, mask_row, merge_sign, odd_masks
 from superhs.numerics import grid, mask_label
 from superhs import structures
@@ -325,13 +326,22 @@ def ref_window_monomials(
     return sorted(set(out), key=lambda fs: tuple(f.sort_key for f in fs))
 
 
+class Tag:
+    """Witness column of a reference row: the monomials whose images the row sums; equal only to itself."""
+
+    __slots__ = ("witness",)
+
+    def __init__(self, witness: Dict[Tuple, Fraction]):
+        self.witness = witness
+
+
 def ref_window_system(e: SymExpr):
     """The target vector and the tagged rows of the rule-free reduction over whole windows.
 
     A sector is a lam power, a field content with t-orders and a total x-order;
     its window is every monomial of the same lam power and content one x-order
     lower.  Each window monomial of each of the target's sectors gives one row,
-    its ``dx`` image with a ``_Tag`` of the monomial.
+    its ``dx`` image with a ``Tag`` of the monomial.
     """
     sectors = dict.fromkeys(
         (lam, tuple((f.symbol, f.dt) for f in factors), sum(f.dx for f in factors))
@@ -342,22 +352,62 @@ def ref_window_system(e: SymExpr):
         for factors in ref_window_monomials(slots, total - 1) if total else ():
             image = dx(SymExpr.monomial(1, factors, lam=lam))
             row = {key: Fraction(n, image._den) for key, n in image._terms.items()}
-            row[_Tag({(lam, factors): Fraction(1)})] = Fraction(1)
+            row[Tag({(lam, factors): Fraction(1)})] = Fraction(1)
             rows.append(row)
     return {key: Fraction(n, e._den) for key, n in e._terms.items()}, rows
 
 
+def ref_scan_reduce(target: dict, generators: List[dict]) -> dict:
+    """Gaussian elimination of ``target`` against the generators; each column scans every row for its pivot.
+
+    Columns are taken largest by ``density._elimination_key`` first, and a
+    column's pivot is the first unused row, in generator order, with a nonzero
+    entry there.  ``Tag`` entries are carried through the row operations under
+    their own keys but are never pivots, so on the result they hold minus the
+    weight with which each tagged generator was taken off the target.
+    """
+    columns = sorted(
+        {c for g in generators for c in g if not isinstance(c, Tag)} | set(target),
+        key=_elimination_key,
+        reverse=True,
+    )
+    label = {c: i for i, c in enumerate(columns)}  # small ints hash fast
+    rows = [{label.get(c, c): x for c, x in g.items()} for g in generators if g]
+
+    def subtract(vec, factor, row):
+        for c, x in row.items():
+            vec[c] = vec.get(c, 0) - factor * x
+            if not vec[c]:
+                del vec[c]
+
+    pivots = {}
+    for col in range(len(columns)):
+        pivot_row = next((row for row in rows if row.get(col)), None)
+        if pivot_row is None:
+            continue
+        rows.remove(pivot_row)
+        pivots[col] = {c: x / pivot_row[col] for c, x in pivot_row.items()}
+        for row in rows:
+            if row.get(col):
+                subtract(row, row[col], pivots[col])
+    vec = {label[c]: x for c, x in target.items()}
+    for col in range(len(columns)):
+        if vec.get(col) and col in pivots:
+            subtract(vec, vec[col], pivots[col])
+    return {columns[c] if isinstance(c, int) else c: x for c, x in vec.items()}
+
+
 def ref_split(reduced: dict):
     """The residual and the witness held by the tags of a reduced window-system target."""
-    residual = {k: v for k, v in reduced.items() if not isinstance(k, _Tag)}
-    tags = ((tag, v) for tag, v in reduced.items() if isinstance(tag, _Tag))
+    residual = {k: v for k, v in reduced.items() if not isinstance(k, Tag)}
+    tags = ((tag, v) for tag, v in reduced.items() if isinstance(tag, Tag))
     witness = _accumulate((key, -v * w) for tag, v in tags for key, w in tag.witness.items())
     return residual, SymExpr(witness)
 
 
 def ref_reduce_mod_dx(e: SymExpr):
     """Residual and witness of ``e`` by one elimination against every window image."""
-    return ref_split(_reduce_against(*ref_window_system(e)))
+    return ref_split(ref_scan_reduce(*ref_window_system(e)))
 
 
 def ref_of(e: SymExpr) -> dict:

@@ -7,9 +7,7 @@ import pytest
 from superhs.algebra import EVEN, ODD, FieldSymbol, SymExpr, lam_power, theta_factor
 from superhs.calculus import berezin, dx, superD
 from superhs.density import (
-    _Tag,
-    _elimination_key,
-    _reduce_against,
+    _reduce_by_leads,
     canonical_density,
     equals_mod_dx,
     euler_x,
@@ -21,7 +19,14 @@ from superhs.density import (
     variational_derivative,
 )
 
-from helpers import random_expr, random_x_poly, ref_is_total_x_derivative, ref_split, ref_window_system
+from helpers import (
+    random_expr,
+    random_x_poly,
+    ref_is_total_x_derivative,
+    ref_scan_reduce,
+    ref_split,
+    ref_window_system,
+)
 
 u = FieldSymbol("u", EVEN)
 v = FieldSymbol("v", EVEN)
@@ -214,8 +219,9 @@ def _dense_rank(rows, columns):
     return rank
 
 
-def test_reduce_against_decides_span_membership_randomized():
-    # columns are term keys, as in reduce_mod_dx
+def test_reduce_by_leads_decides_span_membership_randomized():
+    # columns are term keys, as in reduce_mod_dx; each generator's witness is
+    # its index, so the witness is the combination taken off the target
     columns = [(0, (u.jet(dx=k),)) for k in range(4)] + [
         (0, (u.jet(dx=i), v.jet(dx=j))) for i in range(2) for j in range(3)
     ]
@@ -238,74 +244,34 @@ def test_reduce_against_decides_span_membership_randomized():
             target = {c: x for c, x in target.items() if x}
         else:
             target = sparse_vector()
-        residual = _reduce_against(target, generators)
+        residual, witness = _reduce_by_leads(target, [(g, {i: 1}) for i, g in enumerate(generators)])
         rank = _dense_rank(generators, columns)
         in_span = rank == _dense_rank(generators + [target], columns)
         assert (residual == {}) == in_span
         assert all(x != 0 for x in residual.values())
-        # target - residual lies in the span
+        # target - residual lies in the span, and the witness is its combination
         shifted = dict(target)
         for c, x in residual.items():
             shifted[c] = shifted.get(c, 0) - x
         assert _dense_rank(generators + [shifted], columns) == rank
+        for i, weight in witness.items():
+            for c, x in generators[i].items():
+                shifted[c] = shifted.get(c, 0) - weight * x
+        assert not any(shifted.values())
         outcomes.append(in_span)
     assert 50 < sum(outcomes) < 250
 
 
-def _scan_reduce(target, generators):
-    """Reference for ``_reduce_against``: each column scans every row for its pivot.
-
-    Tag entries are carried through the row operations under their own keys.
-    """
-    columns = sorted(
-        {c for g in generators for c in g if not isinstance(c, _Tag)} | set(target),
-        key=_elimination_key,
-        reverse=True,
-    )
-    label = {c: i for i, c in enumerate(columns)}  # small ints hash fast
-    rows = [{label.get(c, c): x for c, x in g.items()} for g in generators if g]
-
-    def subtract(vec, factor, row):
-        for c, x in row.items():
-            vec[c] = vec.get(c, 0) - factor * x
-            if not vec[c]:
-                del vec[c]
-
-    pivots = {}
-    for col in range(len(columns)):
-        pivot_row = next((row for row in rows if row.get(col)), None)
-        if pivot_row is None:
-            continue
-        rows.remove(pivot_row)
-        pivots[col] = {c: x / pivot_row[col] for c, x in pivot_row.items()}
-        for row in rows:
-            if row.get(col):
-                subtract(row, row[col], pivots[col])
-    vec = {label[c]: x for c, x in target.items()}
-    for col in range(len(columns)):
-        if vec.get(col) and col in pivots:
-            subtract(vec, vec[col], pivots[col])
-    return {columns[c] if isinstance(c, int) else c: x for c, x in vec.items()}
-
-
-def _untagged(vec):
-    return [(c, x) for c, x in vec.items() if not isinstance(c, _Tag)]
-
-
-def test_reduce_against_matches_scanning_reference_in_canonical_density():
+def test_reduce_mod_dx_matches_the_scanning_window_reference():
     # seeds 1-60, each random product and its dx: reduce_mod_dx gives the
-    # residual and witness of one elimination over whole windows, and on each
-    # of those window systems _reduce_against gives the same residual, in the
-    # same key order, as the row-scanning loop
+    # residual and witness of one Gaussian elimination over whole windows
     systems = []
     for seed in range(1, 61):
         rng = random.Random(seed)
         a, b = random_expr(rng), random_expr(rng)
         for e in (a * b, dx(a * b)):
             target, generators = ref_window_system(e)
-            reduced = _reduce_against(target, generators)
-            assert _untagged(reduced) == _untagged(_scan_reduce(target, generators))
-            assert reduce_mod_dx(e) == ref_split(reduced)
+            assert reduce_mod_dx(e) == ref_split(ref_scan_reduce(target, generators))
             systems.append(len(generators))
     assert len(systems) == 120 and max(systems) > 1000
 

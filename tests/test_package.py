@@ -52,8 +52,8 @@ def _private_names_from(path: Path, module: str) -> set:
 
 
 def test_structures_imports_no_private_density_names():
-    # negative control: the density tests do reach into the eliminator
-    assert "_reduce_against" in _private_names_from(ROOT / "tests" / "test_density.py", "density")
+    # negative control: the density tests do reach into the lead-table reduction
+    assert "_reduce_by_leads" in _private_names_from(ROOT / "tests" / "test_density.py", "density")
     assert not _private_names_from(PACKAGE / "structures.py", "density")
 
 

@@ -357,6 +357,21 @@ def test_J2_is_the_operator_of_the_Berezin_cocycle():
         assert structures._images(lambda z: inner_product(z, y)) != j2
 
 
+def test_biham_pins_apply_J2(monkeypatch, tmp_path):
+    # with J2's even leg sign-flipped, biham fails on J2's printed target and nothing else
+    def flipped(p_m, p_eta):
+        r1, r2 = apply_J2(p_m, p_eta)
+        return -r1, r2
+
+    monkeypatch.setattr(structures, "apply_J2", flipped)
+    result = structures.check_biham()
+    assert not result.passed
+    assert result.detail.split(" || ")[0].split("; ") == ["J2 row 1 at (v, psi)"]
+    assert cli.main(["verify", "--suite", "biham", "--out", str(tmp_path / "biham.json")]) == 1
+    monkeypatch.undo()
+    assert structures.check_biham().passed
+
+
 def test_J_operators_reject_wrong_parity():
     with pytest.raises(ParityError):
         apply_J1(XI(), XI())
@@ -554,12 +569,12 @@ def test_conservation_verdicts_within_the_stated_closure(monkeypatch, flow, rho,
     rule_constants = {f for rhs in rules.values() for key, _c in rhs.terms() for f in key[1] if f.symbol.constant}
     calls = []
 
-    def recording(target, generators):
-        calls.append((dict(target), len(generators)))
-        return reduce_against(target, generators)
+    def recording(target, rows):
+        calls.append((dict(target), len(rows)))
+        return reduce_by_leads(target, rows)
 
-    reduce_against = density._reduce_against
-    monkeypatch.setattr(density, "_reduce_against", recording)
+    reduce_by_leads = density._reduce_by_leads
+    monkeypatch.setattr(density, "_reduce_by_leads", recording)
     assert conservation_check(rho, system) is verdict
     if not verdict:
         assert len(calls) == 1  # a residual is left only after the pure-velocity step
